@@ -5,7 +5,7 @@
 //! This bench measures how far sharding the master (`--shards K`)
 //! moves that wall. It runs the same fixed-seed workload twice at the
 //! same world size `p` — single master (1 + (p−1) slaves) and sharded
-//! (reconciler + K sub-masters + (p−1−K) slaves) — and reports
+//! (K shard masters, rank 0 also reconciling, + (p−K) slaves) — and reports
 //! `pairs.processed / total-phase seconds` for each, plus the
 //! sharded/single throughput ratio.
 //!
@@ -15,12 +15,12 @@
 //! has no machine-relative baseline).
 //!
 //! Knobs: `PACE_SHARDED_P` (world size, default 64), `PACE_SHARDED_K`
-//! (sub-masters, default 8), `PACE_SCALE` (dataset divisor, default
+//! (shard masters, default 8), `PACE_SCALE` (dataset divisor, default
 //! 20 → `PACE_SHARDED_N` ESTs directly when set), `PACE_SMOKE_REPS`
 //! (reps per configuration, default 3; best rate across reps wins).
 
 use pace_bench::{banner, dataset, paper_cfg, rule, scaled};
-use pace_cluster::{cluster_parallel_obs, cluster_sharded_obs, ClusterConfig};
+use pace_cluster::{cluster_parallel_obs, ClusterConfig};
 use pace_obs::{metric, Json, Obs};
 use pace_seq::SequenceStore;
 
@@ -42,17 +42,11 @@ struct Measured {
 }
 
 /// Best (highest-throughput) rep of `reps` runs of one configuration.
-fn measure(
-    store: &SequenceStore,
-    cfg: &ClusterConfig,
-    p: usize,
-    reps: usize,
-    run: impl Fn(&SequenceStore, &ClusterConfig, usize, &Obs) -> pace_cluster::ClusterResult,
-) -> Measured {
+fn measure(store: &SequenceStore, cfg: &ClusterConfig, p: usize, reps: usize) -> Measured {
     let mut best: Option<Measured> = None;
     for _ in 0..reps {
         let obs = Obs::noop();
-        let r = run(store, cfg, p, &obs);
+        let (r, _) = cluster_parallel_obs(store, cfg, p, &obs);
         let snap = obs.registry().snapshot();
         let secs = snap
             .phases
@@ -73,11 +67,11 @@ fn measure(
 
 fn main() {
     banner(
-        "Sharded-master scaling: single master vs K sub-masters at equal p",
+        "Sharded-master scaling: single master vs K shard masters at equal p",
         "sharding the paper's master rank; pairs.processed/sec is the figure of merit",
     );
     let p = env_usize("PACE_SHARDED_P", 64, 4);
-    let k = env_usize("PACE_SHARDED_K", 8, 1).min(p.saturating_sub(2));
+    let k = env_usize("PACE_SHARDED_K", 8, 1).min(p - 1);
     let n = env_usize("PACE_SHARDED_N", scaled(12_000), 60);
     let reps = env_usize("PACE_SMOKE_REPS", 3, 1);
     let ds = dataset(n, SHARDED_SEED);
@@ -92,9 +86,7 @@ fn main() {
     );
     println!("{}", rule(72));
 
-    let single = measure(&store, &cfg, p, reps, |s, c, p, o| {
-        cluster_parallel_obs(s, c, p, o).0
-    });
+    let single = measure(&store, &cfg, p, reps);
     println!(
         "single master : {:>8.3}s  {:>12.0} pairs/s  ({} pairs, {} clusters)",
         single.secs, single.rate, single.pairs_processed, single.clusters
@@ -102,9 +94,7 @@ fn main() {
 
     let mut sharded_cfg = cfg.clone();
     sharded_cfg.shards = k;
-    let sharded = measure(&store, &sharded_cfg, p, reps, |s, c, p, o| {
-        cluster_sharded_obs(s, c, p, o).0
-    });
+    let sharded = measure(&store, &sharded_cfg, p, reps);
     println!(
         "K = {k} sharded : {:>8.3}s  {:>12.0} pairs/s  ({} pairs, {} clusters)",
         sharded.secs, sharded.rate, sharded.pairs_processed, sharded.clusters

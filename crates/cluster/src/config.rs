@@ -72,15 +72,15 @@ pub struct ClusterConfig {
     /// Resends of one outstanding batch before the master declares the
     /// slave dead and reassigns its pairs to the survivors.
     pub max_retries: u32,
-    /// Number of clustering-master shards. `0` (the default) runs the
-    /// classic single master; `K ≥ 1` runs K sub-masters (ranks
-    /// `1..=K`, each owning an EST id-range) under a reconciler at rank
-    /// 0, leaving ranks `K+1..p` as slaves — so a sharded world needs
-    /// `p ≥ K + 2`.
+    /// Number of clustering-master shards K (≥ 1). Each shard's master
+    /// owns one EST id-range: shard 0 runs on rank 0, which also
+    /// reconciles the shards' merges, shards `1..K` on ranks `1..K`,
+    /// and ranks `K..p` are slaves — so a parallel world needs
+    /// `p ≥ K + 1`. The default `1` is the paper's single master.
     pub shards: usize,
-    /// Reports a sub-master handles between cross-edge flushes to the
+    /// Reports a shard master handles between cross-edge flushes to the
     /// reconciler (the epoch barrier length). Only meaningful when
-    /// `shards > 0`.
+    /// `shards > 1`.
     pub shard_epoch: usize,
 }
 
@@ -106,7 +106,7 @@ impl Default for ClusterConfig {
             prefilter_min_sketch_jaccard: 0.0,
             slave_timeout: 5.0,
             max_retries: 5,
-            shards: 0,
+            shards: 1,
             shard_epoch: 32,
         }
     }
@@ -319,6 +319,9 @@ impl ClusterConfig {
                 self.slave_timeout
             ));
         }
+        if self.shards == 0 {
+            return Err("shards must be at least 1".into());
+        }
         if self.shard_epoch == 0 {
             return Err("shard_epoch must be positive".into());
         }
@@ -326,39 +329,38 @@ impl ClusterConfig {
     }
 }
 
-/// The role a simulated rank plays in a sharded world.
+/// The role a simulated rank plays in a parallel world.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardRole {
-    /// Rank 0: folds cross-shard merges and replays shard traces.
-    Reconciler,
-    /// Ranks `1..=K`: sub-master owning shard `.0`.
+    /// Ranks `0..K`: master of shard `.0`. Rank 0 (shard 0) also
+    /// reconciles the shards' merges.
     SubMaster(usize),
-    /// Ranks `K+1..p`: slave with local index `.0` (0-based).
+    /// Ranks `K..p`: slave with local index `.0` (0-based).
     Slave(usize),
 }
 
-/// Rank layout of a sharded world: rank 0 is the reconciler, ranks
-/// `1..=K` are sub-masters (shard `s` lives at rank `1 + s`), and the
-/// remaining ranks are slaves.
+/// Rank layout of a parallel world: shard `s`'s master lives at rank
+/// `s` (rank 0 doubles as the reconciler), and ranks `K..p` are slaves.
+/// `K = 1` is the paper's layout: one master at rank 0, `p − 1` slaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardTopology {
     /// World size.
     pub world: usize,
-    /// Sub-master count K.
+    /// Shard count K.
     pub shards: usize,
 }
 
 impl ShardTopology {
-    /// Validate `world` against `shards`: a sharded world needs the
-    /// reconciler, every sub-master, and at least one slave.
+    /// Validate `world` against `shards`: every shard master plus at
+    /// least one slave.
     pub fn new(world: usize, shards: usize) -> Result<Self, String> {
         if shards == 0 {
-            return Err("sharded topology needs at least one shard".into());
+            return Err("a parallel world needs at least one shard".into());
         }
-        if world < shards + 2 {
+        if world < shards + 1 {
             return Err(format!(
                 "world size {world} too small for {shards} shards (need >= {})",
-                shards + 2
+                shards + 1
             ));
         }
         Ok(ShardTopology { world, shards })
@@ -366,31 +368,23 @@ impl ShardTopology {
 
     /// Number of slave ranks.
     pub fn num_slaves(&self) -> usize {
-        self.world - self.shards - 1
+        self.world - self.shards
     }
 
     /// The role of `rank`.
     pub fn role_of(&self, rank: usize) -> ShardRole {
         debug_assert!(rank < self.world);
-        if rank == 0 {
-            ShardRole::Reconciler
-        } else if rank <= self.shards {
-            ShardRole::SubMaster(rank - 1)
+        if rank < self.shards {
+            ShardRole::SubMaster(rank)
         } else {
-            ShardRole::Slave(rank - self.shards - 1)
+            ShardRole::Slave(rank - self.shards)
         }
-    }
-
-    /// The rank hosting sub-master `shard`.
-    pub fn submaster_rank(&self, shard: usize) -> usize {
-        debug_assert!(shard < self.shards);
-        1 + shard
     }
 
     /// The rank hosting slave `idx`.
     pub fn slave_rank(&self, idx: usize) -> usize {
         debug_assert!(idx < self.num_slaves());
-        self.shards + 1 + idx
+        self.shards + idx
     }
 }
 
@@ -507,9 +501,11 @@ mod tests {
         let err = c.validate().unwrap_err();
         assert!(err.contains("edit-convertible"), "{err}");
         // A convertible scheme passes…
-        let mut c = ClusterConfig::default();
-        c.myers_alignment = true;
-        c.scoring = pace_align::Scoring::edit_linear();
+        let mut c = ClusterConfig {
+            myers_alignment: true,
+            scoring: pace_align::Scoring::edit_linear(),
+            ..ClusterConfig::default()
+        };
         c.validate().unwrap();
         // …until the radius leaves the single-word band.
         c.band_radius = 32;
@@ -560,23 +556,33 @@ mod tests {
     }
 
     #[test]
-    fn shard_topology_assigns_roles() {
-        let t = ShardTopology::new(7, 2).unwrap();
-        assert_eq!(t.num_slaves(), 4);
-        assert_eq!(t.role_of(0), ShardRole::Reconciler);
-        assert_eq!(t.role_of(1), ShardRole::SubMaster(0));
-        assert_eq!(t.role_of(2), ShardRole::SubMaster(1));
-        assert_eq!(t.role_of(3), ShardRole::Slave(0));
-        assert_eq!(t.role_of(6), ShardRole::Slave(3));
-        assert_eq!(t.submaster_rank(1), 2);
-        assert_eq!(t.slave_rank(3), 6);
+    fn validation_rejects_zero_shards() {
+        let c = ClusterConfig {
+            shards: 0,
+            ..ClusterConfig::default()
+        };
+        assert!(c.validate().is_err());
+        assert_eq!(ClusterConfig::default().shards, 1);
     }
 
     #[test]
-    fn shard_topology_rejects_small_worlds() {
-        assert!(ShardTopology::new(3, 2).is_err());
-        assert!(ShardTopology::new(2, 0).is_err());
-        assert!(ShardTopology::new(3, 1).is_ok());
+    fn shard_topology_assigns_roles() {
+        let t = ShardTopology::new(7, 2).unwrap();
+        assert_eq!(t.num_slaves(), 5);
+        assert_eq!(t.role_of(0), ShardRole::SubMaster(0));
+        assert_eq!(t.role_of(1), ShardRole::SubMaster(1));
+        assert_eq!(t.role_of(2), ShardRole::Slave(0));
+        assert_eq!(t.role_of(6), ShardRole::Slave(4));
+        assert_eq!(t.slave_rank(4), 6);
+    }
+
+    #[test]
+    fn shard_topology_needs_one_slave_beyond_the_shards() {
+        for k in [1usize, 2, 4] {
+            assert!(ShardTopology::new(k + 1, k).is_ok(), "p = K + 1 rejected");
+            assert!(ShardTopology::new(k, k).is_err(), "p = K accepted");
+        }
+        assert!(ShardTopology::new(2, 0).is_err(), "K = 0 accepted");
     }
 
     #[test]

@@ -31,49 +31,13 @@ use crate::config::ClusterConfig;
 use crate::messages::Msg;
 use crate::stats::ClusterStats;
 use crate::trace::MergeTrace;
-use pace_dsu::DisjointSets;
+use pace_dsu::{ShardDsu, ShardSpec};
 use pace_pairgen::CandidatePair;
 use std::collections::VecDeque;
 
 /// Cap applied to the demand amplification factor α = P/P′ when a report
 /// contributes no useful pairs (P′ = 0).
 const ALPHA_CAP: f64 = 4.0;
-
-/// The cluster-structure operations the master needs. The flat
-/// [`DisjointSets`] is the single-master implementation; the sharded
-/// driver plugs in a shard-local view whose `same` is a conservative
-/// under-approximation of global connectivity (never claiming two ESTs
-/// connected when they might not be), which keeps pair skipping sound.
-pub trait ClusterSets {
-    /// Merge the clusters of `a` and `b`. Returns `true` when a merge is
-    /// recorded (i.e. the caller should log it in the merge trace).
-    fn union(&mut self, a: usize, b: usize) -> bool;
-    /// Whether `a` and `b` are provably in the same cluster. `false` is
-    /// always a safe answer; `true` must be certain.
-    fn same(&mut self, a: usize, b: usize) -> bool;
-}
-
-impl ClusterSets for DisjointSets {
-    fn union(&mut self, a: usize, b: usize) -> bool {
-        DisjointSets::union(self, a, b)
-    }
-    fn same(&mut self, a: usize, b: usize) -> bool {
-        DisjointSets::same(self, a, b)
-    }
-}
-
-/// The sharded master's view: in-range unions are local, straddling
-/// ones are logged as cross edges (`union` still returns `true` the
-/// first time so the merge lands in the shard's trace), and `same` is
-/// `false` for anything out of range — the safe under-approximation.
-impl ClusterSets for pace_dsu::ShardDsu {
-    fn union(&mut self, a: usize, b: usize) -> bool {
-        pace_dsu::ShardDsu::union(self, a, b)
-    }
-    fn same(&mut self, a: usize, b: usize) -> bool {
-        pace_dsu::ShardDsu::same(self, a, b)
-    }
-}
 
 /// A recovery action the master took, for the driver to surface as a
 /// fault event. Purely observational — counters live in
@@ -87,6 +51,9 @@ pub enum FaultNote {
     DeadSlave { slave: usize, reassigned: usize },
     /// A report was ignored as duplicate or stale.
     DuplicateReport { slave: usize, seq: u64 },
+    /// A report was rejected unread: it named an EST outside the
+    /// library or a pair this shard does not own.
+    Rejected { slave: usize, seq: u64 },
     /// Queued pairs were discarded because no live slave remained.
     Abandoned { pairs: u64 },
 }
@@ -118,11 +85,15 @@ struct SlaveLink {
 
 /// Master state: `CLUSTERS` + `WORKBUF` + flow control + recovery.
 ///
-/// Generic over the cluster structure so the same protocol machine runs
-/// both as the flat single master (`Master<DisjointSets>`, the default)
-/// and as a sharded sub-master over an id-range view.
-pub struct Master<S: ClusterSets = DisjointSets> {
-    clusters: S,
+/// `CLUSTERS` is a [`ShardDsu`]: the master owns the pairs whose smaller
+/// EST id falls in its shard's id-range. Unions inside the range are
+/// local; straddling ones are logged as cross edges (and still recorded
+/// in the trace the first time), and `same` is `false` for anything out
+/// of range — a sound under-approximation that keeps pair skipping
+/// partition-preserving. With one shard the range is the whole library
+/// and this is the paper's single master.
+pub struct Master {
+    clusters: ShardDsu,
     workbuf: VecDeque<CandidatePair>,
     cfg: ClusterConfig,
     num_slaves: usize,
@@ -141,25 +112,23 @@ pub struct Master<S: ClusterSets = DisjointSets> {
 }
 
 impl Master {
-    /// A master over `num_ests` ESTs and `num_slaves` slave ranks.
+    /// A master over all `num_ests` ESTs and `num_slaves` slave ranks
+    /// (the one-shard view).
     ///
     /// Every slave is initially expected to send the unsolicited startup
     /// report (first portion's results + third portion's pairs) under
     /// sequence number 0. Deadlines stay unarmed (infinite) until
     /// [`Master::begin`].
     pub fn new(num_ests: usize, num_slaves: usize, cfg: ClusterConfig) -> Self {
-        Master::with_sets(DisjointSets::new(num_ests), num_slaves, cfg)
+        Master::for_shard(ShardSpec::new(num_ests, 1), 0, num_slaves, cfg)
     }
-}
 
-impl<S: ClusterSets> Master<S> {
-    /// A master over an arbitrary cluster structure (used by the sharded
-    /// driver with a [`ShardDsu`](pace_dsu::ShardDsu) id-range view).
-    /// Same protocol state as [`Master::new`].
-    pub fn with_sets(sets: S, num_slaves: usize, cfg: ClusterConfig) -> Self {
+    /// The master of shard `shard` of `spec`. Same protocol state as
+    /// [`Master::new`].
+    pub fn for_shard(spec: ShardSpec, shard: usize, num_slaves: usize, cfg: ClusterConfig) -> Self {
         assert!(num_slaves > 0, "need at least one slave");
         Master {
-            clusters: sets,
+            clusters: ShardDsu::new(spec, shard),
             workbuf: VecDeque::new(),
             cfg,
             num_slaves,
@@ -225,14 +194,27 @@ impl<S: ClusterSets> Master<S> {
     }
 
     /// Consume the master, yielding the final cluster structure.
-    pub fn into_clusters(self) -> S {
+    pub fn into_clusters(self) -> ShardDsu {
         self.clusters
     }
 
-    /// Mutable access to the cluster structure (the sharded sub-master
-    /// drains its pending cross edges through this at epoch barriers).
-    pub fn sets_mut(&mut self) -> &mut S {
-        &mut self.clusters
+    /// Take the cross-shard merge edges logged since the last call (an
+    /// epoch flush to the reconciler).
+    pub fn drain_cross_edges(&mut self) -> Vec<(u32, u32)> {
+        self.clusters.drain_cross_edges()
+    }
+
+    /// Distinct cross-shard merge edges logged over the whole run.
+    pub fn cross_edges_total(&self) -> u64 {
+        self.clusters.cross_edges().total_unique() as u64
+    }
+
+    /// Whether this shard owns `pair`: both ESTs exist and the smaller
+    /// one falls in the shard's id-range.
+    fn owns(&self, pair: &CandidatePair) -> bool {
+        let (i, j) = pair.est_indices();
+        let n = self.clusters.spec().num_elements();
+        i < n && j < n && self.clusters.owns(i.min(j))
     }
 
     /// Handle one slave report (slave ids are `0..num_slaves`). Returns
@@ -243,7 +225,11 @@ impl<S: ClusterSets> Master<S> {
     /// A report whose `seq` is not the one outstanding for that slave —
     /// or from a slave already declared dead — is counted and dropped:
     /// resends make duplicates a normal occurrence, and each sequence
-    /// number must be folded into `CLUSTERS` exactly once.
+    /// number must be folded into `CLUSTERS` exactly once. A report
+    /// naming an EST outside the library or a pair this shard does not
+    /// own is rejected whole, before it touches `CLUSTERS`, and counted
+    /// the same way: a sequence the master still awaits then goes
+    /// through the ordinary resend/dead-slave path.
     pub fn handle_report(
         &mut self,
         slave: usize,
@@ -260,6 +246,12 @@ impl<S: ClusterSets> Master<S> {
             self.notes.push(FaultNote::DuplicateReport { slave, seq });
             return Vec::new();
         }
+        if !results.iter().all(|r| self.owns(&r.pair)) || !pairs.iter().all(|p| self.owns(p)) {
+            self.stats.faults.duplicate_reports += 1;
+            self.notes.push(FaultNote::Rejected { slave, seq });
+            return Vec::new();
+        }
+        let link = &mut self.links[slave];
         link.expecting = None;
         link.pending = None;
         link.retries = 0;
@@ -799,6 +791,61 @@ mod tests {
         assert_eq!(
             m.drain_fault_notes(),
             vec![FaultNote::DuplicateReport { slave: 0, seq: 99 }]
+        );
+    }
+
+    #[test]
+    fn out_of_range_and_foreign_reports_are_rejected_before_the_dsu() {
+        // Ten ESTs in two shards; this master owns ids 0..5. Each report
+        // below passes any wire check but would index past the DSU or
+        // hand the shard a pair it cannot decide.
+        let mut m = Master::for_shard(ShardSpec::new(10, 2), 0, 1, cfg());
+        let seq = m.expected_seq(0).unwrap();
+        for (results, pairs) in [
+            (vec![outcome(1, 99, true)], vec![]),
+            (vec![], vec![pair(3, 1_000_000)]),
+            (vec![outcome(6, 7, true)], vec![]),
+            (vec![], vec![pair(1, 2), pair(6, 7)]),
+        ] {
+            let replies = m.handle_report(0, seq, results, pairs, false, 0.0);
+            assert!(replies.is_empty(), "rejected report must produce no sends");
+        }
+        assert_eq!(m.stats.faults.duplicate_reports, 4);
+        assert_eq!(m.stats.merges, 0);
+        assert_eq!(m.stats.pairs_processed, 0);
+        assert_eq!(m.stats.pairs_generated, 0);
+        assert_eq!(m.workbuf_len(), 0);
+        assert_eq!(
+            m.expected_seq(0),
+            Some(seq),
+            "the awaited report is still awaited"
+        );
+        assert!(m
+            .drain_fault_notes()
+            .iter()
+            .all(|n| *n == FaultNote::Rejected { slave: 0, seq }));
+
+        // A well-formed report (a cross-shard pair included) still goes
+        // through, and the pair flow balances to the end of the run.
+        let r = report(&mut m, 0, vec![], vec![pair(1, 2), pair(3, 8)], false);
+        let Msg::Work { pairs: work, .. } = &r[0].1 else {
+            panic!("expected Work");
+        };
+        let results = work
+            .iter()
+            .map(|p| {
+                let (i, j) = p.est_indices();
+                outcome(i as u32, j as u32, true)
+            })
+            .collect();
+        report(&mut m, 0, results, vec![], true);
+        drain_slave(&mut m, 0);
+        assert!(m.is_done());
+        assert_eq!(m.stats.merges, 2);
+        assert_eq!(m.cross_edges_total(), 1);
+        assert_eq!(
+            m.stats.pairs_generated,
+            m.stats.pairs_processed + m.stats.pairs_skipped
         );
     }
 

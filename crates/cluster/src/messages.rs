@@ -4,10 +4,10 @@ use crate::align_task::PairOutcome;
 use crate::trace::MergeRecord;
 use pace_pairgen::CandidatePair;
 
-/// A worker's end-of-run accounting, shipped to the master as a
-/// [`Msg::Summary`] in multi-process runs. The channel backend returns
-/// the same numbers through the thread join instead, so this message
-/// only appears on the socket transport.
+/// A worker's end-of-run accounting, as the slave loop returns it and
+/// ships it to the master as a [`Msg::Summary`] in multi-process runs.
+/// The channel backend returns the same numbers through the thread join
+/// instead, so this message only appears on the socket transport.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WorkerSummary {
     /// Generator: forest nodes of depth ≥ ψ processed.
@@ -42,19 +42,18 @@ pub struct WorkerSummary {
     pub injected_delays: u64,
     /// See `injected_drops`.
     pub injected_stalls: u64,
-    /// Sharded runs: pairs this worker's generator emitted, indexed by
-    /// owning shard. Empty on single-master runs. Summed across workers
-    /// this is each shard's `generated` side of the per-shard flow
-    /// conservation law.
+    /// Pairs this worker's generator emitted, indexed by owning shard.
+    /// Summed across workers this is each shard's `generated` side of
+    /// the per-shard flow conservation law.
     pub gen_by_owner: Vec<u64>,
-    /// Sharded runs: pairs still buffered for each shard at shutdown
-    /// (the per-shard split of `unconsumed`). Empty on single-master
-    /// runs.
+    /// Pairs still buffered for each shard at shutdown (the per-shard
+    /// split of `unconsumed`).
     pub unconsumed_by_owner: Vec<u64>,
 }
 
-/// A sub-master's end-of-run accounting, shipped to the reconciler in a
-/// [`Msg::ShardDone`] together with the shard's merge records. The
+/// A shard master's end-of-run accounting, shipped to the reconciler
+/// (rank 0) in a [`Msg::ShardDone`] together with the shard's merge
+/// records; rank 0 builds shard 0's report in place. The
 /// records are authoritative: the reconciler rebuilds the global
 /// partition by replaying them, so a lost incremental
 /// [`Msg::CrossMerge`] can never change the result.
@@ -87,7 +86,7 @@ pub struct ShardReport {
     pub reassigned_pairs: u64,
     /// See `retries`.
     pub abandoned_pairs: u64,
-    /// Messages this sub-master's own sends dropped under an injected
+    /// Messages this shard master's own sends dropped under an injected
     /// fault plan (its rank is a sender too — without these the global
     /// `faults.injected.*` ledger undercounts).
     pub injected_drops: u64,
@@ -95,7 +94,7 @@ pub struct ShardReport {
     pub injected_delays: u64,
     /// See `injected_drops`.
     pub injected_stalls: u64,
-    /// Fraction of wall time this sub-master spent handling reports.
+    /// Fraction of wall time this shard master spent handling reports.
     pub busy_frac: f64,
 }
 
@@ -133,12 +132,17 @@ pub enum Msg {
         /// How many pairs to include in the next report (`E`).
         request: usize,
     },
-    /// Master → slave: everything is done, terminate.
+    /// Master → slave: this master's session is done. The slave
+    /// terminates once every shard master has closed its session.
     Shutdown,
+    /// Reconciler (rank 0) → slave: global abort. A shard master went
+    /// silent and can never close its session, so every session closes
+    /// at once.
+    Abort,
     /// Slave → master, after `Shutdown`: final accounting for the fold
     /// (multi-process runs only; thread worlds join instead).
     Summary(WorkerSummary),
-    /// Sub-master → reconciler: cross-shard merge edges flushed at an
+    /// Shard master → reconciler: cross-shard merge edges flushed at an
     /// epoch barrier. Incremental and advisory — the reconciler folds
     /// them into its running global DSU for observability, but the
     /// final partition comes from [`Msg::ShardDone`] records, so a
@@ -151,7 +155,7 @@ pub enum Msg {
         /// Normalized `(min, max)` EST-id edges, deduplicated per shard.
         edges: Vec<(u32, u32)>,
     },
-    /// Sub-master → reconciler: this shard finished; its merge records
+    /// Shard master → reconciler: this shard finished; its merge records
     /// and accounting (sent with redundancy under faults, deduplicated
     /// by shard index at the reconciler).
     ShardDone {
@@ -169,6 +173,7 @@ impl Msg {
             Msg::Report { .. } => "Report",
             Msg::Work { .. } => "Work",
             Msg::Shutdown => "Shutdown",
+            Msg::Abort => "Abort",
             Msg::Summary(_) => "Summary",
             Msg::CrossMerge { .. } => "CrossMerge",
             Msg::ShardDone { .. } => "ShardDone",
@@ -202,6 +207,7 @@ mod tests {
             "Work"
         );
         assert_eq!(Msg::Shutdown.kind(), "Shutdown");
+        assert_eq!(Msg::Abort.kind(), "Abort");
         assert_eq!(
             Msg::CrossMerge {
                 shard: 0,

@@ -35,7 +35,9 @@ pub struct FaultStats {
     /// `Work` batches re-sent after a slave missed its reply deadline.
     pub retries: u64,
     /// Reports ignored as duplicate or stale (wrong sequence number, or
-    /// from a slave already declared dead).
+    /// from a slave already declared dead), plus reports and reconciler
+    /// records rejected for naming an EST outside the library or a pair
+    /// the receiving shard does not own.
     pub duplicate_reports: u64,
     /// Slaves declared dead after the retry budget ran out.
     pub dead_slaves: u64,

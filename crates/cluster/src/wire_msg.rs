@@ -28,6 +28,7 @@ const TAG_SHUTDOWN: u8 = 2;
 const TAG_SUMMARY: u8 = 3;
 const TAG_CROSS_MERGE: u8 = 4;
 const TAG_SHARD_DONE: u8 = 5;
+const TAG_ABORT: u8 = 6;
 
 fn encode_pair(p: &CandidatePair, out: &mut Vec<u8>) {
     p.s1.0.encode(out);
@@ -269,6 +270,7 @@ impl Wire for Msg {
                 request.encode(out);
             }
             Msg::Shutdown => TAG_SHUTDOWN.encode(out),
+            Msg::Abort => TAG_ABORT.encode(out),
             Msg::Summary(s) => {
                 TAG_SUMMARY.encode(out);
                 s.encode(out);
@@ -305,6 +307,7 @@ impl Wire for Msg {
                 request: usize::decode(r)?,
             }),
             TAG_SHUTDOWN => Ok(Msg::Shutdown),
+            TAG_ABORT => Ok(Msg::Abort),
             TAG_SUMMARY => Ok(Msg::Summary(WorkerSummary::decode(r)?)),
             TAG_CROSS_MERGE => Ok(Msg::CrossMerge {
                 shard: u32::decode(r)?,
@@ -365,6 +368,7 @@ mod tests {
                 request: 60,
             },
             Msg::Shutdown,
+            Msg::Abort,
             Msg::Summary(WorkerSummary {
                 gen_nodes_processed: 1,
                 gen_raw_pairs: 2,

@@ -2,12 +2,13 @@
 //!
 //! The unit tests of `master.rs` verify the master state machine in
 //! isolation; here the real `run_slave` is driven over the real
-//! message-passing runtime by a hand-written master script, pinning down
+//! message-passing runtime by a hand-written master script on rank 0 —
+//! the one-shard (`K = 1`) world layout — pinning down
 //! the wire protocol itself: the three-portion startup, the R/P piggyback
 //! pattern, PAIRBUF top-up to `E`, the exhausted flag, and shutdown.
 
 use pace_cluster::messages::Msg;
-use pace_cluster::slave::run_slave;
+use pace_cluster::slave_sharded::run_slave;
 use pace_cluster::ClusterConfig;
 use pace_gst::{assign_buckets, build_forest_for_rank, count_buckets};
 use pace_mpisim::run_world;
@@ -50,7 +51,7 @@ fn with_slave<R: Send>(
         if rank.rank() == 0 {
             Some(script(&rank))
         } else {
-            run_slave(&rank, 0, store, &forest, cfg);
+            run_slave(&rank, store, &forest, cfg);
             None
         }
     })

@@ -2,9 +2,9 @@
 //!
 //! [`cluster_store_uds`] runs the same master–slave protocol as
 //! `Pace::cluster_store`, but with one OS process per rank instead of
-//! one thread: the calling process becomes rank 0 (master + socket
-//! hub), and `p − 1` worker processes are forked from `worker_exe`
-//! with the hidden `__pace-worker` argv. Everything a worker needs
+//! one thread: the calling process becomes rank 0 (shard 0's master,
+//! the reconciler and the socket hub), and `p − 1` worker processes are
+//! forked from `worker_exe` with the hidden `__pace-worker` argv. Everything a worker needs
 //! travels on its command line — the input FASTA (written to a scratch
 //! dir), the exact [`ClusterConfig`] as a `k=v` string, and the
 //! encoded fault plan — so a worker is fully described by its argv and
@@ -20,8 +20,7 @@
 
 use crate::pipeline::{PaceConfig, PaceError, PaceOutcome};
 use pace_cluster::{
-    cluster_master_transport, cluster_sharded_master_transport, cluster_sharded_worker_transport,
-    cluster_worker_transport, ClusterConfig, Msg,
+    cluster_master_transport, cluster_worker_transport, ClusterConfig, Msg, ShardTopology,
 };
 use pace_mpisim::{FaultPlan, Rank, UdsEndpoint, UdsHub, INJECTED_CRASH_EXIT};
 use pace_obs::{metric, Obs};
@@ -81,13 +80,7 @@ pub fn cluster_store_uds(
             "the socket transport needs num_processors ≥ 2 (one master + workers)".into(),
         ));
     }
-    if config.cluster.shards > 0 && p < config.cluster.shards + 2 {
-        return Err(PaceError::BadConfig(format!(
-            "a sharded run needs p ≥ shards + 2 (reconciler + {} sub-masters + ≥1 slave), \
-             got p = {p}",
-            config.cluster.shards
-        )));
-    }
+    ShardTopology::new(p, config.cluster.shards).map_err(PaceError::BadConfig)?;
 
     // Scratch directory: the rendezvous socket plus the input FASTA
     // every worker re-reads. Cleaned up best-effort on every exit path.
@@ -173,11 +166,8 @@ fn launch_world(
         }
     };
     let rank = Rank::over(Box::new(hub), &config.faults, obs.clone());
-    let (result, trace) = if config.cluster.shards > 0 {
-        cluster_sharded_master_transport(store, &config.cluster, &rank, under_faults, obs)
-    } else {
-        cluster_master_transport(store, &config.cluster, &rank, under_faults, obs)
-    };
+    let (result, trace) =
+        cluster_master_transport(store, &config.cluster, &rank, under_faults, obs);
     // Dropping the master's rank drops the hub: any worker still blocked
     // on the socket sees EOF instead of hanging the reaper.
     drop(rank);
@@ -257,9 +247,10 @@ fn reap_children(
 }
 
 /// Entry point for the hidden `__pace-worker` subcommand: parse the
-/// launcher's argv, join the socket world as one slave rank, run the
-/// protocol, and return the process exit code (0, or
-/// [`INJECTED_CRASH_EXIT`] when this rank's fault plan crashed it).
+/// launcher's argv, join the socket world as one worker rank (a shard
+/// master or a slave, by position), run the protocol, and return the
+/// process exit code (0, or [`INJECTED_CRASH_EXIT`] when this rank's
+/// fault plan crashed it).
 /// `args` excludes the program name and the `__pace-worker` token.
 pub fn worker_main(args: &[String]) -> Result<i32, String> {
     let mut rank: Option<usize> = None;
@@ -317,11 +308,7 @@ pub fn worker_main(args: &[String]) -> Result<i32, String> {
     // timestamps on the hub's timeline when we export below.
     let clock_offset_us = ep.clock_offset_us();
     let world = Rank::over(Box::new(ep), &plan, obs.clone());
-    let crashed = if cfg.shards > 0 {
-        cluster_sharded_worker_transport(&store, &cfg, &world, under_faults, &obs)
-    } else {
-        cluster_worker_transport(&store, &cfg, &world, under_faults, &obs)
-    };
+    let crashed = cluster_worker_transport(&store, &cfg, &world, under_faults, &obs);
     drop(world);
 
     if let (Some(path), Some(tracer)) = (&trace_out, obs.tracer()) {

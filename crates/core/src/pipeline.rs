@@ -1,8 +1,8 @@
 //! The one-call clustering pipeline.
 
 use pace_cluster::{
-    cluster_parallel_faults, cluster_sequential_obs, cluster_sharded_faults, ClusterConfig,
-    ClusterResult, MergeTrace,
+    cluster_parallel_faults, cluster_sequential_obs, ClusterConfig, ClusterResult, MergeTrace,
+    ShardTopology,
 };
 use pace_mpisim::FaultPlan;
 use pace_obs::Obs;
@@ -149,23 +149,9 @@ impl Pace {
         }
         let (result, trace) = if self.config.num_processors <= 1 {
             cluster_sequential_obs(store, &self.config.cluster, obs)
-        } else if self.config.cluster.shards > 0 {
-            let k = self.config.cluster.shards;
-            if self.config.num_processors < k + 2 {
-                return Err(PaceError::BadConfig(format!(
-                    "a sharded run needs p ≥ shards + 2 (reconciler + {k} sub-masters + ≥1 \
-                     slave), got p = {}",
-                    self.config.num_processors
-                )));
-            }
-            cluster_sharded_faults(
-                store,
-                &self.config.cluster,
-                self.config.num_processors,
-                &self.config.faults,
-                obs,
-            )
         } else {
+            ShardTopology::new(self.config.num_processors, self.config.cluster.shards)
+                .map_err(PaceError::BadConfig)?;
             cluster_parallel_faults(
                 store,
                 &self.config.cluster,

@@ -108,9 +108,22 @@ impl DisjointSets {
         self.size[root] as usize
     }
 
-    /// A label per element, where labels are the (stable) root indices.
+    /// A label per element: the smallest element of its set. Canonical —
+    /// two structures holding the same partition label it identically,
+    /// whatever union order (and so whatever roots) built them.
     pub fn labels(&mut self) -> Vec<usize> {
-        (0..self.len()).map(|i| self.find(i)).collect()
+        let mut smallest = vec![u32::MAX; self.len()];
+        (0..self.len())
+            .map(|i| {
+                let root = self.find(i);
+                // Elements are visited in ascending order, so the first
+                // one seen in a set is its smallest.
+                if smallest[root] == u32::MAX {
+                    smallest[root] = i as u32;
+                }
+                smallest[root] as usize
+            })
+            .collect()
     }
 
     /// Materialize the sets as sorted vectors of element indices, ordered by
@@ -248,6 +261,20 @@ mod tests {
                 assert_eq!(labels[a] == labels[b], d.same(a, b));
             }
         }
+    }
+
+    #[test]
+    fn labels_are_smallest_members_whatever_the_union_order() {
+        let mut a = DisjointSets::new(6);
+        a.union(4, 1);
+        a.union(2, 5);
+        a.union(5, 3);
+        let mut b = DisjointSets::new(6);
+        b.union(3, 2);
+        b.union(1, 4);
+        b.union(5, 2);
+        assert_eq!(a.labels(), vec![0, 1, 2, 2, 1, 2]);
+        assert_eq!(a.labels(), b.labels());
     }
 
     #[test]

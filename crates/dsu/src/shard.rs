@@ -2,7 +2,7 @@
 //! mergeable log of cross-shard edges.
 //!
 //! The sharded clustering driver splits the master's `CLUSTERS` by EST
-//! id-range into `K` shards. Each sub-master owns one [`ShardDsu`]: a
+//! id-range into `K` shards. Each shard master owns one [`ShardDsu`]: a
 //! flat [`DisjointSets`] over its contiguous range, plus a [`CrossEdges`]
 //! log for unions whose endpoints straddle shard boundaries. Cross edges
 //! cannot be resolved locally, so `union` records them (deduplicated)
@@ -34,7 +34,7 @@ pub struct ShardSpec {
 impl ShardSpec {
     /// Ownership map of `num_elements` ids over `num_shards` shards.
     pub fn new(num_elements: usize, num_shards: usize) -> Self {
-        assert!(num_shards > 0, "need at least one shard");
+        assert!(num_shards >= 1, "need at least one shard");
         assert!(
             num_elements <= u32::MAX as usize,
             "element count exceeds u32 range"
@@ -61,6 +61,9 @@ impl ShardSpec {
     #[inline]
     pub fn owner_of(&self, e: usize) -> usize {
         debug_assert!(e < self.num_elements, "element {e} out of range");
+        if self.num_shards == 1 {
+            return 0;
+        }
         // u128 so `e * K` cannot overflow for any u32-range input.
         ((e as u128 * self.num_shards as u128) / self.num_elements as u128) as usize
     }
@@ -130,14 +133,6 @@ impl CrossEdges {
     pub fn drain(&mut self) -> Vec<(u32, u32)> {
         std::mem::take(&mut self.pending)
     }
-
-    /// Absorb another log (e.g. one recovered from a restarted shard):
-    /// edges unseen here become pending.
-    pub fn merge(&mut self, other: &CrossEdges) {
-        for &(a, b) in other.seen.iter() {
-            self.push(a, b);
-        }
-    }
 }
 
 /// One shard of the cluster structure: a local union–find over a
@@ -167,12 +162,6 @@ impl ShardDsu {
             local: DisjointSets::new(range.len()),
             cross: CrossEdges::new(),
         }
-    }
-
-    /// This shard's index.
-    #[inline]
-    pub fn shard(&self) -> usize {
-        self.shard
     }
 
     /// The ownership map this shard is a view of.
@@ -288,18 +277,6 @@ mod tests {
         assert!(!log.push(5, 9), "dedup memory must survive a drain");
         assert_eq!(log.pending_len(), 0);
         assert_eq!(log.total_unique(), 1);
-    }
-
-    #[test]
-    fn cross_edges_merge_absorbs_unseen() {
-        let mut a = CrossEdges::new();
-        a.push(1, 2);
-        a.drain();
-        let mut b = CrossEdges::new();
-        b.push(1, 2);
-        b.push(3, 4);
-        a.merge(&b);
-        assert_eq!(a.drain(), vec![(3, 4)], "only the unseen edge is pending");
     }
 
     #[test]

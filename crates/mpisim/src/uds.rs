@@ -28,12 +28,13 @@ use crate::stats::{CommStats, WorldStats};
 use crate::transport::Transport;
 use crate::wire::{read_frame, write_frame, Ctl, Wire, WireReader, WIRE_VERSION};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use pace_wire::lock_recover;
 use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -61,6 +62,31 @@ fn encode_ctl(ctl: &Ctl) -> Vec<u8> {
     out
 }
 
+/// Lock a socket's write half. The collective slots in this module are
+/// only ever replaced whole (a reduction contribution is checked before
+/// it lands, see [`checked_sum`]), so they take [`lock_recover`]; a stream is
+/// different — a writer that panicked mid-frame may have left half a
+/// frame on the wire. A poisoned stream is therefore severed (both
+/// peers' readers see EOF, as after a failed write) and `None` returned,
+/// which the caller treats as a dead link.
+fn lock_stream(stream: &Mutex<UnixStream>) -> Option<MutexGuard<'_, UnixStream>> {
+    match stream.lock() {
+        Ok(guard) => Some(guard),
+        Err(poisoned) => {
+            let _ = poisoned.into_inner().shutdown(std::net::Shutdown::Both);
+            None
+        }
+    }
+}
+
+/// One bounded wait on a collective's condvar, recovering a poisoned
+/// lock as [`lock_recover`] does.
+fn wait_recover<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cv.wait_timeout(guard, Duration::from_millis(50))
+        .unwrap_or_else(PoisonError::into_inner)
+        .0
+}
+
 /// One hub-side writer endpoint for a worker.
 struct WriterSlot {
     stream: Mutex<UnixStream>,
@@ -75,7 +101,10 @@ impl WriterSlot {
         if !self.alive.load(Ordering::Acquire) {
             return;
         }
-        let mut s = self.stream.lock().unwrap();
+        let Some(mut s) = lock_stream(&self.stream) else {
+            self.alive.store(false, Ordering::Release);
+            return;
+        };
         if write_frame(&mut *s, payload).is_err() {
             self.alive.store(false, Ordering::Release);
         } else {
@@ -166,25 +195,42 @@ impl HubColl {
     }
 
     fn note_dead(&self, writers: &[Arc<WriterSlot>], stats: &CommStats) {
-        let mut st = self.st.lock().unwrap();
+        let mut st = lock_recover(&self.st);
         st.dead += 1;
         self.maybe_complete(&mut st, writers, stats);
         self.cv.notify_all();
     }
 
-    fn accumulate_sum(&self, st: &mut CollSt, vals: &[u64]) {
-        if st.sum_buf.is_empty() {
-            st.sum_buf.resize(vals.len(), 0);
-        }
-        assert_eq!(
-            st.sum_buf.len(),
-            vals.len(),
-            "allreduce_sum called with mismatched lengths across ranks"
-        );
-        for (acc, &x) in st.sum_buf.iter_mut().zip(vals) {
-            *acc = acc.checked_add(x).expect("allreduce_sum overflow");
+    /// Add one rank's contribution to the running sum. Returns `false`,
+    /// leaving the state untouched, if it has the wrong length or
+    /// overflows.
+    fn accumulate_sum(st: &mut CollSt, vals: &[u64]) -> bool {
+        match checked_sum(&st.sum_buf, vals) {
+            Some(sum) => {
+                st.sum_buf = sum;
+                st.sum_n += 1;
+                true
+            }
+            None => false,
         }
     }
+}
+
+/// `acc + vals` element-wise, built in a fresh vector (an empty `acc`
+/// starts a new reduction); `None` on a length mismatch or an overflow.
+/// The running sum is replaced only by a complete result, so a bad
+/// contribution can never leave it half-added.
+fn checked_sum(acc: &[u64], vals: &[u64]) -> Option<Vec<u64>> {
+    if acc.is_empty() {
+        return Some(vals.to_vec());
+    }
+    if acc.len() != vals.len() {
+        return None;
+    }
+    acc.iter()
+        .zip(vals)
+        .map(|(a, &x)| a.checked_add(x))
+        .collect()
 }
 
 /// The rank-0 transport of a socket world: accepts `size - 1` worker
@@ -375,12 +421,18 @@ fn hub_reader<M: Wire + Send>(
             }
             ENV_CTL => {
                 let Ok(ctl) = Ctl::decode(&mut r) else { break };
-                let mut st = coll.st.lock().unwrap();
+                let mut st = lock_recover(&coll.st);
                 match ctl {
                     Ctl::Barrier => st.barrier_n += 1,
                     Ctl::Sum { vals } => {
-                        coll.accumulate_sum(&mut st, &vals);
-                        st.sum_n += 1;
+                        if !HubColl::accumulate_sum(&mut st, &vals) {
+                            // A malformed contribution: refuse it and
+                            // sever the link, so the worker sees a dead
+                            // hub and the quorum drops it below.
+                            drop(st);
+                            let _ = stream.shutdown(std::net::Shutdown::Both);
+                            break;
+                        }
                     }
                     Ctl::Max { val } => {
                         st.max_val = st.max_val.max(val);
@@ -464,44 +516,36 @@ impl<M: Wire + Send + 'static> Transport<M> for UdsHub<M> {
 
     fn barrier(&self) {
         self.stats.record_barrier();
-        let mut st = self.coll.st.lock().unwrap();
+        let mut st = lock_recover(&self.coll.st);
         let my_gen = st.barrier_gen;
         st.barrier_n += 1;
         self.coll
             .maybe_complete(&mut st, &self.writers, &self.stats);
         while st.barrier_gen == my_gen {
-            st = self
-                .coll
-                .cv
-                .wait_timeout(st, Duration::from_millis(50))
-                .unwrap()
-                .0;
+            st = wait_recover(&self.coll.cv, st);
         }
     }
 
     fn allreduce_sum(&self, local: &[u64]) -> Vec<u64> {
         self.stats.record_reduction();
-        let mut st = self.coll.st.lock().unwrap();
-        self.coll.accumulate_sum(&mut st, local);
-        st.sum_n += 1;
+        let mut st = lock_recover(&self.coll.st);
+        if !HubColl::accumulate_sum(&mut st, local) {
+            drop(st);
+            panic!("allreduce_sum: contribution has the wrong length or overflows");
+        }
         self.coll
             .maybe_complete(&mut st, &self.writers, &self.stats);
         loop {
             if let Some(result) = st.sum_slot.take() {
                 return result;
             }
-            st = self
-                .coll
-                .cv
-                .wait_timeout(st, Duration::from_millis(50))
-                .unwrap()
-                .0;
+            st = wait_recover(&self.coll.cv, st);
         }
     }
 
     fn allreduce_max(&self, local: u64) -> u64 {
         self.stats.record_reduction();
-        let mut st = self.coll.st.lock().unwrap();
+        let mut st = lock_recover(&self.coll.st);
         st.max_val = st.max_val.max(local);
         st.max_n += 1;
         self.coll
@@ -510,12 +554,7 @@ impl<M: Wire + Send + 'static> Transport<M> for UdsHub<M> {
             if let Some(result) = st.max_slot.take() {
                 return result;
             }
-            st = self
-                .coll
-                .cv
-                .wait_timeout(st, Duration::from_millis(50))
-                .unwrap()
-                .0;
+            st = wait_recover(&self.coll.cv, st);
         }
     }
 
@@ -529,7 +568,7 @@ impl<M: Send> Drop for UdsHub<M> {
         // Sever every connection so worker readers observe EOF, then
         // join our readers (they exit on the same shutdown).
         for w in &self.writers {
-            let _ = w.stream.lock().unwrap().shutdown(std::net::Shutdown::Both);
+            let _ = lock_recover(&w.stream).shutdown(std::net::Shutdown::Both);
         }
         for h in self.readers.drain(..) {
             let _ = h.join();
@@ -668,7 +707,10 @@ impl<M: Wire + Send + 'static> UdsEndpoint<M> {
         if !self.hub_alive.load(Ordering::Acquire) {
             return;
         }
-        let mut s = self.writer.lock().unwrap();
+        let Some(mut s) = lock_stream(&self.writer) else {
+            self.hub_alive.store(false, Ordering::Release);
+            return;
+        };
         if write_frame(&mut *s, payload).is_ok() {
             self.stats.record_bytes(payload.len() as u64 + 8);
         }
@@ -694,7 +736,7 @@ fn endpoint_reader<M: Wire + Send>(
             }
             ENV_CTL => {
                 let Ok(ctl) = Ctl::decode(&mut r) else { break };
-                let mut st = coll.st.lock().unwrap();
+                let mut st = lock_recover(&coll.st);
                 match ctl {
                     Ctl::BarrierRelease => st.barrier_releases += 1,
                     Ctl::SumResult { vals } => st.sum = Some(vals),
@@ -709,7 +751,7 @@ fn endpoint_reader<M: Wire + Send>(
         }
     }
     hub_alive.store(false, Ordering::Release);
-    coll.st.lock().unwrap().hub_dead = true;
+    lock_recover(&coll.st).hub_dead = true;
     coll.cv.notify_all();
 }
 
@@ -785,14 +827,9 @@ impl<M: Wire + Send + 'static> Transport<M> for UdsEndpoint<M> {
 
     fn barrier(&self) {
         self.write(&encode_ctl(&Ctl::Barrier));
-        let mut st = self.coll.st.lock().unwrap();
+        let mut st = lock_recover(&self.coll.st);
         while st.barrier_releases == 0 && !st.hub_dead {
-            st = self
-                .coll
-                .cv
-                .wait_timeout(st, Duration::from_millis(50))
-                .unwrap()
-                .0;
+            st = wait_recover(&self.coll.cv, st);
         }
         st.barrier_releases = st.barrier_releases.saturating_sub(1);
     }
@@ -801,7 +838,7 @@ impl<M: Wire + Send + 'static> Transport<M> for UdsEndpoint<M> {
         self.write(&encode_ctl(&Ctl::Sum {
             vals: local.to_vec(),
         }));
-        let mut st = self.coll.st.lock().unwrap();
+        let mut st = lock_recover(&self.coll.st);
         loop {
             if let Some(result) = st.sum.take() {
                 return result;
@@ -811,18 +848,13 @@ impl<M: Wire + Send + 'static> Transport<M> for UdsEndpoint<M> {
                 // error out of its next receive anyway.
                 return local.to_vec();
             }
-            st = self
-                .coll
-                .cv
-                .wait_timeout(st, Duration::from_millis(50))
-                .unwrap()
-                .0;
+            st = wait_recover(&self.coll.cv, st);
         }
     }
 
     fn allreduce_max(&self, local: u64) -> u64 {
         self.write(&encode_ctl(&Ctl::Max { val: local }));
-        let mut st = self.coll.st.lock().unwrap();
+        let mut st = lock_recover(&self.coll.st);
         loop {
             if let Some(result) = st.max.take() {
                 return result;
@@ -830,12 +862,7 @@ impl<M: Wire + Send + 'static> Transport<M> for UdsEndpoint<M> {
             if st.hub_dead {
                 return local;
             }
-            st = self
-                .coll
-                .cv
-                .wait_timeout(st, Duration::from_millis(50))
-                .unwrap()
-                .0;
+            st = wait_recover(&self.coll.cv, st);
         }
     }
 
@@ -847,21 +874,13 @@ impl<M: Wire + Send + 'static> Transport<M> for UdsEndpoint<M> {
     /// reader observes EOF immediately, instead of the peer merely
     /// going silent.
     fn on_crash(&self) {
-        let _ = self
-            .writer
-            .lock()
-            .unwrap()
-            .shutdown(std::net::Shutdown::Both);
+        let _ = lock_recover(&self.writer).shutdown(std::net::Shutdown::Both);
     }
 }
 
 impl<M: Send> Drop for UdsEndpoint<M> {
     fn drop(&mut self) {
-        let _ = self
-            .writer
-            .lock()
-            .unwrap()
-            .shutdown(std::net::Shutdown::Both);
+        let _ = lock_recover(&self.writer).shutdown(std::net::Shutdown::Both);
         if let Some(h) = self.reader.take() {
             let _ = h.join();
         }
@@ -1109,5 +1128,91 @@ mod tests {
         let hub = UdsHub::<u64>::bind(&path, 2, Duration::from_secs(10), &|| 0);
         assert!(hub.is_err(), "version mismatch must refuse the world");
         bad.join().unwrap();
+    }
+
+    /// Poison `m` the way a panicking connection thread would.
+    fn poison<T: Send>(m: &Mutex<T>) {
+        std::thread::scope(|scope| {
+            let _ = scope
+                .spawn(|| {
+                    let _guard = m.lock();
+                    panic!("poisoning the lock on purpose");
+                })
+                .join();
+        });
+        assert!(m.is_poisoned());
+    }
+
+    #[test]
+    fn poisoned_hub_locks_yield_values_or_errors_not_panics() {
+        let path = sock_path("poison");
+        let timeout = Duration::from_secs(10);
+        let worker = {
+            let path = path.clone();
+            std::thread::spawn(move || {
+                let ep: UdsEndpoint<u64> =
+                    UdsEndpoint::connect(&path, 1, timeout, &|| 0).expect("connect");
+                // Echo until the link goes away.
+                while let Ok((_, v)) = ep.recv() {
+                    ep.send(0, v + 1);
+                }
+            })
+        };
+        let hub: UdsHub<u64> = UdsHub::bind(&path, 2, timeout, &|| 0).expect("bind");
+
+        // Collective slots are never left half-updated: the hub recovers
+        // the lock and keeps working.
+        poison(&hub.coll.st);
+        hub.send(1, 41);
+        assert_eq!(
+            hub.recv().expect("echo after poisoned collectives"),
+            (1, 42)
+        );
+
+        // A poisoned stream may hold half a frame: the link is severed
+        // and the next receive reports the dead world instead of
+        // panicking.
+        poison(&hub.writers[0].stream);
+        hub.send(1, 7);
+        assert!(hub.recv().is_err(), "recv over a severed link must error");
+        worker
+            .join()
+            .expect("worker exits once its link is severed");
+    }
+
+    /// A worker's `Sum` frame that overflows the running sum, or has the
+    /// wrong length, is refused whole: the hub severs that link instead
+    /// of panicking in its reader (which would leave the quorum waiting
+    /// forever), and the next collective still completes.
+    #[test]
+    fn malformed_sum_frames_sever_the_link_not_hang_the_hub() {
+        for (case, second) in [("overflow", vec![1u64]), ("length", vec![1, 2])] {
+            let path = sock_path(&format!("badsum-{case}"));
+            let timeout = Duration::from_secs(10);
+            let worker = {
+                let path = path.clone();
+                std::thread::spawn(move || {
+                    let ep: UdsEndpoint<u64> =
+                        UdsEndpoint::connect(&path, 1, timeout, &|| 0).expect("connect");
+                    ep.write(&encode_ctl(&Ctl::Sum {
+                        vals: vec![u64::MAX],
+                    }));
+                    ep.write(&encode_ctl(&Ctl::Sum { vals: second }));
+                    ep.recv().is_err()
+                })
+            };
+            let hub: UdsHub<u64> = UdsHub::bind(&path, 2, timeout, &|| 0).expect("bind");
+            let deadline = Instant::now() + Duration::from_secs(10);
+            assert!(
+                hub.recv_deadline(deadline).is_err(),
+                "{case}: the bad worker must be reported dead, not waited on"
+            );
+            assert!(
+                worker.join().unwrap(),
+                "{case}: the worker sees its link cut"
+            );
+            assert!(!hub.coll.st.is_poisoned(), "{case}: the reader panicked");
+            assert_eq!(hub.allreduce_sum(&[5]), vec![5], "{case}");
+        }
     }
 }

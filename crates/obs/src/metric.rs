@@ -51,14 +51,15 @@ pub const GST_MAX_DEPTH: &str = "gst.max_depth";
 /// Gauge: fraction of wall time the master spent busy.
 pub const MASTER_BUSY_FRAC: &str = "master.busy_frac";
 
-/// Gauge: sub-master shard count of a sharded run (absent or 0 on
-/// single-master runs).
+/// Gauge: shard-master count K of a parallel run (1 for the paper's
+/// single master; absent on sequential runs).
 pub const SHARD_COUNT: &str = "shard.count";
 /// Counter: distinct cross-shard merge edges the reconciler folded.
 pub const SHARD_CROSS_EDGES: &str = "shard.cross_edges";
-/// Counter: `CrossMerge` epoch flushes the reconciler received.
+/// Counter: `CrossMerge` epoch flushes rank 0 received from the shard
+/// masters on other ranks.
 pub const SHARD_EPOCHS: &str = "shard.epochs";
-/// Counter: sub-master shards that failed to deliver a final report
+/// Counter: shards that failed to deliver a final report
 /// (crashed or timed out); their pairs surface in `faults.lost_pairs`.
 pub const SHARD_FAILED: &str = "shard.failed";
 /// Gauge: seconds the reconciler spent folding cross edges and

@@ -59,7 +59,8 @@ pub const T_FAULT_DELAY: &str = "fault.delay";
 /// Instant: an injected rank crash (`arg` = sends completed).
 pub const T_FAULT_CRASH: &str = "fault.crash";
 /// Instant: a master recovery action (resend/dead slave/…); the
-/// specific action is the event's `arg`-free name, see `driver_par`.
+/// specific action is the event's `arg`-free name, see
+/// `pace_cluster::driver_sharded`.
 pub const T_FLOW_NAME: &str = "batch";
 
 /// Span names that represent *waiting*, not work — excluded from
@@ -621,8 +622,8 @@ pub struct Analysis {
     pub quantiles: BTreeMap<String, SpanQuantiles>,
     /// Ranks that coordinated work (owned at least one `handle_report`
     /// span): the single master's rank 0, or — under sharded masters —
-    /// every sub-master rank. Computed from the trace, not assumed from
-    /// the protocol's conventional layout.
+    /// every shard-master rank. Computed from the trace, not assumed
+    /// from the protocol's conventional layout.
     pub coordinators: BTreeSet<u32>,
 }
 
@@ -756,7 +757,7 @@ pub fn analyze(doc: &TraceDoc) -> Analysis {
     analysis.wall_secs = wall_us as f64 / 1e6;
 
     // Coordinator ranks own `handle_report` spans: rank 0 for the single
-    // master, ranks 1..=K for sharded sub-masters. The straggler ranking
+    // master, ranks 0..K for K shard masters. The straggler ranking
     // excludes them — a coordinator idles by design (the paper's "< 2%
     // busy" claim), the opposite of straggling.
     analysis.coordinators = doc
@@ -1140,9 +1141,9 @@ mod tests {
 
     #[test]
     fn straggler_ranking_excludes_sharded_submasters() {
-        // Sharded layout: reconciler at 0 (no handle_report), sub-masters
-        // at 1 and 2, slaves at 3 and 4. Coordinator status must come
-        // from the spans, not the rank-0 convention.
+        // Coordinators at 1 and 2 only (rank 0 handled no report),
+        // slaves at 3 and 4. Coordinator status must come from the
+        // spans, not the rank-0 convention.
         let tr = Tracer::new();
         tr.span(1, T_HANDLE_REPORT, 100, 50, 1, 1);
         tr.span(2, T_HANDLE_REPORT, 120, 40, 2, 1);

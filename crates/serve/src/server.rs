@@ -28,27 +28,13 @@ use crate::view::ReadView;
 use pace_cluster::ClusterConfig;
 use pace_core::{signals, IncrementalClusterer};
 use pace_obs::{metric, LogQuantile, Obs};
-use pace_wire::{read_frame, write_frame, Wire};
+use pace_wire::{lock_recover, read_frame, write_frame, Wire};
 use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// Recover the guard from a poisoned mutex.
-///
-/// A handler thread that panics while holding one of the daemon's locks
-/// poisons it; `.lock().unwrap()` would then propagate the panic into
-/// every other handler and the accept loop, turning one bad request
-/// into a dead daemon. The data under the view/latency locks cannot be
-/// torn (an `Arc` swap, a quantile sketch observation), so recovery is
-/// unconditionally safe there. The *core* lock is different — a fold
-/// may have died halfway through a mutation — so its callers also
-/// consult [`Shared::core_tainted`] before trusting the state.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -118,6 +104,10 @@ struct CoreState {
 struct Shared {
     cfg: ServerConfig,
     core: Mutex<CoreState>,
+    /// The view and latency locks guard data that cannot be torn (an
+    /// `Arc` swap, one sketch observation), so they take
+    /// [`lock_recover`] unconditionally; the core lock goes through
+    /// [`Shared::lock_core`].
     view: Mutex<Arc<ReadView>>,
     shutdown: AtomicBool,
     connections: AtomicU64,
@@ -567,7 +557,8 @@ mod tests {
     use crate::client::Client;
 
     fn scratch(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("pace-serve-poison-{}-{tag}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("pace-serve-poison-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir

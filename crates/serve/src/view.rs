@@ -38,24 +38,24 @@ pub struct ReadView {
 }
 
 impl ReadView {
-    /// Build a view from raw partition labels (any root-based labelling)
-    /// plus the id/sequence columns. Labels are canonicalized here.
+    /// Build a view from canonical partition labels (each EST labelled
+    /// by the smallest EST index in its cluster, as
+    /// `DisjointSets::labels` returns them) plus the id/sequence columns.
     pub fn build(
-        raw_labels: &[usize],
+        labels: &[usize],
         ids: Vec<String>,
         seqs: Vec<Vec<u8>>,
         ingest_batches: u64,
         trace_len: u64,
     ) -> Self {
-        // Canonical label = min EST index per raw component.
-        let mut min_of_root: HashMap<usize, usize> = HashMap::new();
-        for (i, &root) in raw_labels.iter().enumerate() {
-            min_of_root.entry(root).or_insert(i);
-        }
-        let labels: Vec<u64> = raw_labels
-            .iter()
-            .map(|root| min_of_root[root] as u64)
-            .collect();
+        debug_assert!(
+            labels
+                .iter()
+                .enumerate()
+                .all(|(i, &l)| l <= i && labels[l] == l),
+            "labels are not smallest-member canonical"
+        );
+        let labels: Vec<u64> = labels.iter().map(|&l| l as u64).collect();
         let mut members: HashMap<u64, Vec<usize>> = HashMap::new();
         for (i, &label) in labels.iter().enumerate() {
             members.entry(label).or_default().push(i);
@@ -94,12 +94,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn labels_are_canonical_min_index() {
-        // Components {0,2}, {1}, {3,4} under arbitrary root labels.
-        let raw = [7, 9, 7, 4, 4];
+    fn labels_index_their_clusters() {
+        // Components {0,2}, {1}, {3,4}, labelled by smallest member.
+        let labels = [0, 1, 0, 3, 3];
         let ids: Vec<String> = (0..5).map(|i| format!("e{i}")).collect();
         let seqs = vec![b"ACGT".to_vec(); 5];
-        let v = ReadView::build(&raw, ids, seqs, 1, 0);
+        let v = ReadView::build(&labels, ids, seqs, 1, 0);
         assert_eq!(v.labels, vec![0, 1, 0, 3, 3]);
         assert_eq!(v.num_clusters(), 3);
         assert_eq!(v.members[&0], vec![0, 2]);

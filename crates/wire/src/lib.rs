@@ -17,6 +17,10 @@
 //!   corrupt bytes in practice; a bad checksum means a codec bug or a
 //!   desynced stream, both of which must fail loudly).
 //!
+//! Both socket servers also share [`lock_recover`]: one panicking
+//! connection thread must not take every other thread down with it
+//! through a poisoned lock.
+//!
 //! Protocol-specific message enums (the transport's `Ctl` handshake,
 //! the daemon's request/response lines) live with their protocols; only
 //! the neutral codec machinery lives here. Within a protocol version,
@@ -25,6 +29,7 @@
 //! version bump, never silently.
 
 use std::io::{self, Read, Write};
+use std::sync::{Mutex, MutexGuard};
 
 /// Upper bound on a frame payload. A `Work`/`Report` batch is a few
 /// hundred pairs (tens of KiB) and an ingest batch a few MiB of FASTA;
@@ -338,6 +343,18 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
         ));
     }
     Ok(Some(payload))
+}
+
+/// Lock `m`, recovering the guard if a thread panicked while holding it.
+///
+/// `.lock().unwrap()` would propagate one thread's panic into every
+/// other thread that touches the lock. Recovery is only sound when the
+/// guarded data cannot be left half-updated — every critical section
+/// either completes its mutation or panics before starting it. Callers
+/// whose data *can* be torn must check [`Mutex::lock`]'s error instead
+/// (or, as the daemon's core lock does, taint the state).
+pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 #[cfg(test)]

@@ -136,7 +136,7 @@ fn print_report(a: &Analysis, top: usize) {
     for r in &a.ranks {
         let role = if a.coordinators.contains(&r.rank) {
             if a.coordinators.len() > 1 {
-                "sub-master"
+                "shard master"
             } else {
                 "master"
             }

@@ -92,7 +92,12 @@ USAGE:
                 [--metrics-out FILE] [--quiet]
   pace ingest   --socket SOCKET --in FASTA [--batch N] [--ambiguous reject|normalize]
   pace query    --socket SOCKET (--member ID | --cluster LABEL | --rep LABEL |
-                --stats | --ping | --shutdown)";
+                --stats | --ping | --shutdown)
+
+  --shards K splits the clustering master into K shard masters by EST
+  id-range (default 1: the single master). Rank 0 runs shard 0 and
+  reconciles the shards' merges, ranks 1..K-1 run the other shards, and
+  the remaining ranks are slaves, so --procs must be at least K + 1.";
 
 /// Switches that take no value; stored with the value `"true"`.
 const BOOL_FLAGS: &[&str] = &["verbose", "quiet", "resume", "stats", "ping", "shutdown"];
@@ -397,16 +402,13 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
         get(&flags, "min-ratio", config.cluster.overlap.min_score_ratio)?;
     config.cluster.slave_timeout = get(&flags, "slave-timeout", config.cluster.slave_timeout)?;
     config.cluster.max_retries = get(&flags, "max-retries", config.cluster.max_retries)?;
-    // Sharded masters: K sub-masters under a reconciler. Needs
-    // p ≥ K + 2 so at least one rank remains a slave.
+    // Shard masters: ranks 0..K, so a parallel run needs p ≥ K + 1
+    // for at least one rank to remain a slave.
     config.cluster.shards = get(&flags, "shards", config.cluster.shards)?;
     config.cluster.shard_epoch = get(&flags, "shard-epoch", config.cluster.shard_epoch)?;
-    if config.cluster.shards > 0 && config.num_processors < config.cluster.shards + 2 {
-        return Err(format!(
-            "--shards {} needs --procs ≥ {} (reconciler + sub-masters + ≥1 slave)",
-            config.cluster.shards,
-            config.cluster.shards + 2
-        ));
+    if config.num_processors > 1 {
+        pace::cluster::ShardTopology::new(config.num_processors, config.cluster.shards)
+            .map_err(|e| format!("--shards/--procs: {e}"))?;
     }
 
     // Fault injection (testing/demo): a seeded deterministic plan for

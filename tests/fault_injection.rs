@@ -180,9 +180,15 @@ fn assert_nothing_lost(r: &Run, what: &str) {
 }
 
 fn check_recoverable(profile: FaultProfile, seed: u64) {
-    let p = 4;
+    check_recoverable_on(cfg(4), profile, seed, &format!("{profile}_seed_{seed}"));
+}
+
+/// The recoverable-fault contract for one world layout (`base` fixes
+/// `p` and the shard count); `tag` names the run.
+fn check_recoverable_on(base: PaceConfig, profile: FaultProfile, seed: u64, tag: &str) {
+    let p = base.num_processors;
     let store = dataset(72, 1000 + seed);
-    let clean = run(&store, cfg(p));
+    let clean = run(&store, base.clone());
     assert_nothing_lost(&clean, "fault-free baseline");
     assert_eq!(
         clean.stats.faults,
@@ -190,15 +196,15 @@ fn check_recoverable(profile: FaultProfile, seed: u64) {
         "clean run counted faults"
     );
 
-    let mut faulted_cfg = cfg(p);
+    let mut faulted_cfg = base;
     faulted_cfg.faults = FaultPlan::seeded(profile, seed, p);
     // Short deadline + deep retry budget: resends fire quickly, and a
     // live-but-slow slave can miss many deadlines without being
     // declared dead (duplicates are idempotent either way).
     faulted_cfg.cluster.slave_timeout = 0.05;
     faulted_cfg.cluster.max_retries = 200;
-    let what = format!("{profile} seed {seed}");
-    let faulted = run_watched(&store, faulted_cfg, &format!("{profile}_seed_{seed}"));
+    let what = tag.replace('_', " ");
+    let faulted = run_watched(&store, faulted_cfg, tag);
 
     assert_same_partition(&faulted, &clean, &what);
     assert_nothing_lost(&faulted, &what);
@@ -394,59 +400,33 @@ fn crash_seed_3() {
 // ---- sharded topology under faults -------------------------------------
 //
 // Same contract, different protocol surface: with `--shards K` the world
-// is reconciler + K sub-masters + slaves, and faults can now hit the
-// sub-master tier — dropped CrossMerge flushes, delayed dispatches, or a
-// crashed sub-master taking its whole shard down. Drop/delay must still
-// be invisible (redundant end-phase copies + resends); a sub-master
+// is K shard masters (rank 0 also reconciling) + slaves, and faults can
+// now hit the master tier — dropped CrossMerge flushes, delayed
+// dispatches, or a crashed shard master taking its whole shard down. Drop/delay must still
+// be invisible (redundant end-phase copies + resends); a shard-master
 // crash must fail *loudly*: the run terminates, the shard is written
 // off, and every pair it lost is accounted in `faults.lost_pairs` —
 // never silently missing from the books.
 
-/// Slaves shared by the sharded fault runs (p = 1 + K + SHARDED_SLAVES).
+/// Slaves shared by the sharded fault runs (p = K + SHARDED_SLAVES).
 const SHARDED_SLAVES: usize = 3;
 
 fn sharded_cfg(k: usize) -> PaceConfig {
-    let mut c = cfg(1 + k + SHARDED_SLAVES);
+    let mut c = cfg(k + SHARDED_SLAVES);
     c.cluster.shards = k;
     c.cluster.shard_epoch = 4;
     c
 }
 
 fn check_sharded_recoverable(profile: FaultProfile, k: usize, seed: u64) {
-    let p = 1 + k + SHARDED_SLAVES;
-    let store = dataset(72, 1000 + seed);
-    let clean = run(&store, sharded_cfg(k));
-    assert_nothing_lost(&clean, "sharded fault-free baseline");
-
-    let mut faulted_cfg = sharded_cfg(k);
-    faulted_cfg.faults = FaultPlan::seeded(profile, seed, p);
-    faulted_cfg.cluster.slave_timeout = 0.05;
-    faulted_cfg.cluster.max_retries = 200;
-    let what = format!("sharded {profile} k {k} seed {seed}");
-    let faulted = run_watched(
-        &store,
-        faulted_cfg,
-        &format!("sharded_{profile}_k{k}_seed_{seed}"),
-    );
-
-    assert_same_partition(&faulted, &clean, &what);
-    assert_nothing_lost(&faulted, &what);
-    assert_eq!(faulted.stats.faults.dead_slaves, 0, "{what}: false death");
-    let injected_key = match profile {
-        FaultProfile::Drop => metric::FAULTS_INJECTED_DROPS,
-        FaultProfile::Delay => metric::FAULTS_INJECTED_DELAYS,
-        _ => unreachable!("recoverable profiles only"),
-    };
-    assert!(
-        faulted.counters.get(injected_key).copied().unwrap_or(0) > 0,
-        "{what}: seeded plan injected nothing"
-    );
+    let tag = format!("sharded_{profile}_k{k}_seed_{seed}");
+    check_recoverable_on(sharded_cfg(k), profile, seed, &tag);
 }
 
-/// Crash the *first sub-master* (rank 1) mid-run. Its shard's pending
-/// work is gone for good, so there is no partition identity to assert —
-/// the contract is loud, accounted failure: the run terminates inside
-/// the watchdog window, the reconciler writes the silent shard off, and
+/// Crash the shard master on rank 1 (shard 1) mid-run. Its shard's
+/// pending work is gone for good, so there is no partition identity to
+/// assert — the contract is loud, accounted failure: the run terminates
+/// inside the watchdog window, rank 0 writes the silent shard off, and
 /// flow conservation still balances with the loss booked in
 /// `faults.lost_pairs`.
 fn check_sharded_crash(k: usize, seed: u64) {
@@ -474,9 +454,9 @@ fn check_sharded_crash(k: usize, seed: u64) {
     );
     assert!(
         faulted.stats.faults.lost_pairs > 0,
-        "{what}: sub-master crash lost nothing — fault not exercised or silently absorbed"
+        "{what}: shard-master crash lost nothing — fault not exercised or silently absorbed"
     );
-    // Even with a dead sub-master the books balance: whatever its shard
+    // Even with a dead shard master the books balance: whatever its shard
     // lost is folded into unconsumed, not dropped from the ledger.
     assert_eq!(
         faulted.stats.pairs_generated,
@@ -522,12 +502,12 @@ fn sharded_delay_k4_seed_1() {
 }
 
 #[test]
-fn sharded_crash_k1_seed_0() {
-    check_sharded_crash(1, MATRIX_SEEDS[0]);
+fn sharded_crash_k2_seed_0() {
+    check_sharded_crash(2, MATRIX_SEEDS[0]);
 }
 #[test]
-fn sharded_crash_k1_seed_1() {
-    check_sharded_crash(1, MATRIX_SEEDS[1]);
+fn sharded_crash_k2_seed_1() {
+    check_sharded_crash(2, MATRIX_SEEDS[1]);
 }
 #[test]
 fn sharded_crash_k4_seed_0() {

@@ -136,6 +136,20 @@ fn deterministic_end_to_end() {
     );
 }
 
+/// Labels, not just partitions, are a pure function of the input: two
+/// parallel runs over one noisy library return equal label vectors —
+/// the smallest-member labels the daemon serves.
+#[test]
+fn parallel_labels_are_deterministic() {
+    let ds = dataset(800, 7, 0.02);
+    let mut config = test_config();
+    config.num_processors = 3;
+    let a = Pace::new(config.clone()).cluster(&ds.ests).unwrap();
+    let b = Pace::new(config).cluster(&ds.ests).unwrap();
+    assert_eq!(a.labels(), b.labels());
+    assert!(a.labels().iter().enumerate().all(|(i, &l)| l <= i));
+}
+
 #[test]
 fn figure7_shape_holds_end_to_end() {
     // Pairs processed must be well below pairs generated once clusters

@@ -1,11 +1,14 @@
 //! Differential-testing harness for the sharded clustering masters.
 //!
-//! Every test runs the same error-free dataset twice: once through the
-//! single-master driver (the reference, always on the in-process
-//! channel backend) and once through the sharded driver with `K`
-//! sub-masters. The sharded run must be *observationally identical*:
+//! Every test runs the same error-free dataset three times: once on the
+//! sequential driver (the independent reference), once with one master
+//! (`K = 1`, always on the in-process channel backend) and once with `K`
+//! shard masters. The sharded run must be *observationally identical*:
 //!
-//! 1. same canonical partition (relabeled by first occurrence),
+//! 1. the same labels as both references — every driver labels an EST
+//!    by the smallest member of its cluster, so equal labels mean equal
+//!    partitions, and on error-free data the parallel and sequential
+//!    drivers agree exactly (`protocol_invariants::drivers_agree`),
 //! 2. a merge trace whose replay reproduces that partition exactly
 //!    (`trace.len() == stats.merges`, replay labels == returned labels),
 //! 3. exact pair-flow conservation, globally
@@ -14,14 +17,15 @@
 //! 4. no fault-recovery activity on a fault-free run.
 //!
 //! The pinned `k{K}_seed_*` tests are the CI sharded-matrix entries
-//! (see `.github/workflows/ci.yml`): K ∈ {1, 2, 4, 8} sub-masters,
+//! (see `.github/workflows/ci.yml`): K ∈ {1, 2, 4, 8} shard masters,
 //! selected by test-name prefix (`k1_`, `k4_`, ...).
 //!
 //! **Transport dispatch:** with `PACE_TRANSPORT=uds` in the
 //! environment the sharded run under test goes over the Unix-socket
-//! multi-process backend — the reconciler runs in the test process and
-//! every sub-master and slave rank is a real `pace __pace-worker`
-//! child — while the reference stays on the channel backend. The
+//! multi-process backend — rank 0 (shard 0 + reconciler) runs in the
+//! test process and every other shard master and slave rank is a real
+//! `pace __pace-worker` child — while the reference stays on the
+//! channel backend. The
 //! assertions are identical, so the matrix proves the sharded topology
 //! behaves the same across both backends. Set `PACE_TEST_TRACE_DIR` to
 //! collect per-process trace timelines on failure.
@@ -43,9 +47,9 @@ fn transport_uds() -> bool {
 /// `sharded-matrix` job in `.github/workflows/ci.yml`.
 const MATRIX_SEEDS: [u64; 2] = [11, 47];
 
-/// Slave count shared by reference and sharded runs: the reference
-/// runs `1 + SLAVES` ranks, the sharded run `1 + K + SLAVES`, so both
-/// sides partition pair generation over the same number of workers.
+/// Slave count shared by reference and sharded runs: each runs
+/// `K + SLAVES` ranks (the reference with `K = 1`), so both sides
+/// partition pair generation over the same number of workers.
 const SLAVES: usize = 3;
 
 /// Error-free workload with enough genes that every shard owns a
@@ -68,9 +72,9 @@ fn dataset(n: usize, seed: u64) -> SequenceStore {
     SequenceStore::from_ests(&ds.ests).unwrap()
 }
 
-/// Pipeline config for `p` ranks with `shards` sub-masters
-/// (`shards == 0` selects the single-master driver). The small epoch
-/// forces several cross-merge flushes per shard even on tiny inputs.
+/// Pipeline config for `p` ranks with `shards` shard masters. The small
+/// epoch forces several cross-merge flushes per shard even on tiny
+/// inputs.
 fn cfg(p: usize, shards: usize) -> PaceConfig {
     let mut c = PaceConfig::small_inputs();
     c.cluster.psi = 16;
@@ -103,9 +107,9 @@ fn run_channel(store: &SequenceStore, config: PaceConfig) -> Run {
     }
 }
 
-/// One sharded run over the socket backend: this process is the
-/// reconciler + hub, every other rank (sub-masters included) is a
-/// spawned `pace __pace-worker` process.
+/// One sharded run over the socket backend: this process is rank 0
+/// (shard 0 + reconciler + hub), every other rank (shard masters
+/// included) is a spawned `pace __pace-worker` process.
 fn run_uds(store: &SequenceStore, config: PaceConfig, tag: &str) -> Run {
     let trace_dir = std::env::var_os("PACE_TEST_TRACE_DIR").map(std::path::PathBuf::from);
     let obs = if trace_dir.is_some() {
@@ -164,26 +168,9 @@ fn run_watched(store: &SequenceStore, config: PaceConfig, tag: &str) -> Run {
     watched(move || run_under_test(&store, config, &tag))
 }
 
-/// Relabel a partition by first occurrence so two labelings compare
-/// equal iff they induce the same partition.
-fn canon(labels: &[usize]) -> Vec<usize> {
-    let mut next = 0usize;
-    let mut map = std::collections::HashMap::new();
-    labels
-        .iter()
-        .map(|&l| {
-            *map.entry(l).or_insert_with(|| {
-                let id = next;
-                next += 1;
-                id
-            })
-        })
-        .collect()
-}
-
 /// `generated == processed + skipped + unconsumed` with zero lost
-/// pairs — nothing silently vanished between slaves, sub-masters, and
-/// the reconciler.
+/// pairs — nothing silently vanished between slaves, shard masters,
+/// and the reconciler.
 fn assert_flow_conserved(r: &Run, what: &str) {
     assert_eq!(r.stats.faults.lost_pairs, 0, "{what}: pairs lost in flight");
     assert_eq!(
@@ -191,6 +178,8 @@ fn assert_flow_conserved(r: &Run, what: &str) {
         r.stats.pairs_processed + r.stats.pairs_skipped + r.stats.pairs_unconsumed,
         "{what}: pair-flow conservation violated"
     );
+    assert!(r.stats.pairs_accepted <= r.stats.pairs_processed, "{what}");
+    assert!(r.stats.merges <= r.stats.pairs_accepted, "{what}");
     assert_eq!(
         r.counters
             .get(metric::ALIGN_WS_REUSES)
@@ -266,38 +255,33 @@ fn check_identity(k: usize, seed: u64) {
     let n = store.num_ests();
     let what = format!("k {k} seed {seed}");
 
-    // Reference: single master, channel backend, matched slave count.
-    let single = run_channel(&store, cfg(1 + SLAVES, 0));
+    // Reference: one master, channel backend, matched slave count.
+    let single = run_channel(&store, cfg(1 + SLAVES, 1));
     assert_flow_conserved(&single, "single-master reference");
     assert_eq!(
-        canon(&single.trace.replay(n)),
-        canon(&single.labels),
+        single.trace.replay(n),
+        single.labels,
         "reference trace does not replay its own labels"
     );
 
-    // Under test: K sub-masters + reconciler, same slave count.
+    // Independent reference: the sequential driver (p = 1).
+    let sequential = run_channel(&store, cfg(1, 1));
+
+    // Under test: K shard masters, same slave count.
     let sharded = run_watched(
         &store,
-        cfg(1 + k + SLAVES, k),
+        cfg(k + SLAVES, k),
         &format!("sharded_k{k}_seed_{seed}"),
     );
 
-    // 1. Canonical partition identity.
+    // 1. Partition identity (labels are canonical).
     assert_eq!(
-        canon(&sharded.labels),
-        canon(&single.labels),
+        sharded.labels, single.labels,
         "{what}: sharded partition differs from single-master"
     );
-    let clusters = |labels: &[usize]| {
-        labels
-            .iter()
-            .collect::<std::collections::HashSet<_>>()
-            .len()
-    };
     assert_eq!(
-        clusters(&sharded.labels),
-        clusters(&single.labels),
-        "{what}: cluster counts differ"
+        sharded.labels, sequential.labels,
+        "{what}: sharded partition differs from the sequential driver"
     );
 
     // 2. Merge-trace replay identity: the reconciled trace is exactly
@@ -308,14 +292,9 @@ fn check_identity(k: usize, seed: u64) {
         "{what}: trace length != merge count"
     );
     assert_eq!(
-        canon(&sharded.trace.replay(n)),
-        canon(&sharded.labels),
+        sharded.trace.replay(n),
+        sharded.labels,
         "{what}: sharded trace does not replay the returned labels"
-    );
-    assert_eq!(
-        canon(&sharded.trace.replay(n)),
-        canon(&single.labels),
-        "{what}: sharded trace replays a different partition than the reference"
     );
 
     // 3. Conservation, global and per shard.
