@@ -56,26 +56,6 @@ impl AlignWorkspace {
         self.uses
     }
 
-    /// Total scratch capacity currently held, in bytes (diagnostics).
-    pub fn capacity_bytes(&self) -> usize {
-        let i32s = self.band_m.capacity()
-            + self.band_x.capacity()
-            + self.band_y.capacity()
-            + self.m_prev.capacity()
-            + self.x_prev.capacity()
-            + self.y_prev.capacity()
-            + self.m_cur.capacity()
-            + self.x_cur.capacity()
-            + self.y_cur.capacity()
-            + self.semi_score.capacity();
-        i32s * std::mem::size_of::<i32>()
-            + self.semi_origin.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.rev_a.capacity()
-            + self.rev_b.capacity()
-            + self.myers_peq.capacity() * std::mem::size_of::<u64>()
-            + self.myers_slots.capacity() * std::mem::size_of::<u16>()
-    }
-
     /// Take the reversed-prefix buffers out (cleared), freeing `self`
     /// for a nested kernel call; return them with [`put_rev`](Self::put_rev).
     #[inline]
@@ -181,15 +161,5 @@ mod tests {
         ws.semi_origin[2] = (9, 9);
         ws.reset_semi(3);
         assert_eq!(ws.semi_origin, vec![(0, 0), (0, 1), (0, 2)]);
-    }
-
-    #[test]
-    fn capacity_accounting_grows() {
-        let mut ws = AlignWorkspace::new();
-        assert_eq!(ws.capacity_bytes(), 0);
-        ws.reset_band(100, 0);
-        ws.reset_rows(50, 0);
-        ws.reset_semi(50);
-        assert!(ws.capacity_bytes() >= (300 + 300) * 4);
     }
 }

@@ -11,42 +11,34 @@
 //! 4. the ψ threshold's effect on pair volume and quality.
 
 use pace_bench::{banner, dataset, paper_cfg, scaled, secs};
-use pace_cluster::{align_pair, cluster_sequential, ClusterConfig};
+use pace_cluster::{cluster_sequential, AlignContext, ClusterConfig, Judge};
 use pace_dsu::DisjointSets;
+use pace_obs::Obs;
 use pace_pairgen::{CandidatePair, PairGenConfig, PairGenerator};
 use pace_quality::assess;
 use pace_seq::SequenceStore;
 use std::time::Instant;
 
 /// Feed an explicit pair stream through the master's skip/align/merge
-/// logic; returns (aligned, skipped, accepted, labels, seconds).
+/// rule; returns (aligned, skipped, labels, seconds).
 fn consume_pairs(
     store: &SequenceStore,
     cfg: &ClusterConfig,
     pairs: &[CandidatePair],
-) -> (u64, u64, u64, Vec<usize>, f64) {
+) -> (u64, u64, Vec<usize>, f64) {
     let started = Instant::now();
-    let mut clusters = DisjointSets::new(store.num_ests());
-    let (mut aligned, mut skipped, mut accepted) = (0u64, 0u64, 0u64);
+    let mut judge = Judge::new(DisjointSets::new(store.num_ests()), cfg, &Obs::noop());
+    let mut ctx = AlignContext::new(store, None);
     for pair in pairs {
-        let (i, j) = pair.est_indices();
-        if cfg.skip_clustered_pairs && clusters.same(i, j) {
-            skipped += 1;
-            continue;
-        }
-        aligned += 1;
-        let outcome = align_pair(store, pair, cfg);
-        if outcome.accepted {
-            accepted += 1;
-            clusters.union(i, j);
+        if !judge.skips(pair) {
+            judge.fold(&ctx.align(pair, cfg));
         }
     }
-    let labels = clusters.labels();
+    let (mut clusters, _, stats) = judge.into_parts();
     (
-        aligned,
-        skipped,
-        accepted,
-        labels,
+        stats.pairs_processed,
+        stats.pairs_skipped,
+        clusters.labels(),
         started.elapsed().as_secs_f64(),
     )
 }
@@ -99,25 +91,25 @@ fn main() {
         PairGenerator::new(&store, &forest, PairGenConfig::new(cfg.psi)).generate_all();
 
     // 1a. The paper's order: decreasing maximal-common-substring length.
-    let (a, s, _, labels, t) = consume_pairs(&store, &cfg, &sorted_pairs);
+    let (a, s, labels, t) = consume_pairs(&store, &cfg, &sorted_pairs);
     report("decreasing-MCS order (PaCE)", a, s, t, &labels, &ds.truth);
 
     // 1b. The same pairs, truly shuffled: the traditional arbitrary order.
     let mut shuffled = sorted_pairs.clone();
     shuffle(&mut shuffled, 0xDEAD_BEEF);
-    let (a, s, _, labels, t) = consume_pairs(&store, &cfg, &shuffled);
+    let (a, s, labels, t) = consume_pairs(&store, &cfg, &shuffled);
     report("shuffled pair order", a, s, t, &labels, &ds.truth);
 
     // 2. No cluster-aware skipping: every pair is aligned.
     let mut noskip = cfg.clone();
     noskip.skip_clustered_pairs = false;
-    let (a, s, _, labels, t) = consume_pairs(&store, &noskip, &sorted_pairs);
+    let (a, s, labels, t) = consume_pairs(&store, &noskip, &sorted_pairs);
     report("no pair skipping", a, s, t, &labels, &ds.truth);
 
     // 3. Full-width DP: band as wide as a read (quadratic extension).
     let mut fullwidth = cfg.clone();
     fullwidth.band_radius = 700;
-    let (a, s, _, labels, t) = consume_pairs(&store, &fullwidth, &sorted_pairs);
+    let (a, s, labels, t) = consume_pairs(&store, &fullwidth, &sorted_pairs);
     report("full-width DP (no banding)", a, s, t, &labels, &ds.truth);
 
     // 4. ψ sweep (via the full driver: pair volume changes with ψ).

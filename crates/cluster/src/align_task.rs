@@ -12,7 +12,7 @@ use pace_align::{
     AlignWorkspace, Anchor, SeqView,
 };
 use pace_pairgen::CandidatePair;
-use pace_seq::{PackedText, SequenceStore, SketchParams, SketchSet};
+use pace_seq::{PackedText, SequenceStore, SketchParams, SketchSet, StrId};
 
 /// Result of aligning one promising pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,6 +23,16 @@ pub struct PairOutcome {
     pub accepted: bool,
     /// Achieved score / ideal score of the overlap region.
     pub score_ratio: f64,
+}
+
+/// Whether both strings of `pair` exist and its anchor lies inside
+/// each, given every string's length (`None` for a string that does not
+/// exist). The one bounds rule for pairs decoded off the wire.
+pub(crate) fn anchor_fits(pair: &CandidatePair, len_of: impl Fn(StrId) -> Option<usize>) -> bool {
+    let fits = |s: StrId, off: u32| {
+        len_of(s).is_some_and(|len| off as usize + pair.mcs_len as usize <= len)
+    };
+    fits(pair.s1, pair.off1) && fits(pair.s2, pair.off2)
 }
 
 /// Per-rank alignment state: sequences, reusable DP scratch, counters.
@@ -63,6 +73,19 @@ impl<'s> AlignContext<'s> {
         }
     }
 
+    /// The store this context aligns against.
+    pub fn store(&self) -> &'s SequenceStore {
+        self.store
+    }
+
+    /// Whether `pair` names two strings of the store with its anchor
+    /// inside both — what [`align`](Self::align) assumes of every pair.
+    /// Pairs decoded off the wire are checked with this first.
+    pub fn holds(&self, pair: &CandidatePair) -> bool {
+        let n = self.store.num_strings();
+        anchor_fits(pair, |s| (s.index() < n).then(|| self.store.len_of(s)))
+    }
+
     /// Pairs served by this context (every [`align`](Self::align) call).
     pub fn pairs_handled(&self) -> u64 {
         self.pairs_handled
@@ -77,11 +100,6 @@ impl<'s> AlignContext<'s> {
     /// [`AlignWorkspace::uses`]).
     pub fn workspace_uses(&self) -> u64 {
         self.ws.uses()
-    }
-
-    /// Current heap footprint of the reused DP scratch.
-    pub fn workspace_bytes(&self) -> usize {
-        self.ws.capacity_bytes()
     }
 
     /// Build (or rebuild, after the store grew) the per-string MinHash

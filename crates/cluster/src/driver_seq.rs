@@ -12,11 +12,11 @@
 
 use crate::align_task::AlignContext;
 use crate::config::ClusterConfig;
+use crate::judge::Judge;
 use crate::stats::{ClusterResult, ClusterStats};
 use crate::trace::MergeTrace;
 use pace_dsu::DisjointSets;
-use pace_obs::{metric, Event, Obs, Timer};
-use pace_pairgen::{CandidatePair, PairGenConfig, PairGenerator};
+use pace_obs::{metric, Obs};
 use pace_seq::{PackedText, SequenceStore};
 
 /// Cluster `store`'s ESTs sequentially.
@@ -24,17 +24,9 @@ pub fn cluster_sequential(store: &SequenceStore, cfg: &ClusterConfig) -> Cluster
     cluster_sequential_obs(store, cfg, &Obs::noop()).0
 }
 
-/// Like [`cluster_sequential`], additionally returning the [`MergeTrace`]
-/// of every accepted merge in order — the audit log used by the analysis
-/// tooling (replaying the trace reproduces the partition exactly).
-pub fn cluster_sequential_traced(
-    store: &SequenceStore,
-    cfg: &ClusterConfig,
-) -> (ClusterResult, MergeTrace) {
-    cluster_sequential_obs(store, cfg, &Obs::noop())
-}
-
-/// Fully instrumented sequential run: phase timings, counters and the
+/// Fully instrumented sequential run, additionally returning the
+/// [`MergeTrace`] of every accepted merge in order (replaying it
+/// reproduces the partition exactly). Phase timings, counters and the
 /// MCS-length histogram land in `obs`'s registry, and accepted merges
 /// are emitted as events when a real sink is attached.
 pub fn cluster_sequential_obs(
@@ -44,85 +36,33 @@ pub fn cluster_sequential_obs(
 ) -> (ClusterResult, MergeTrace) {
     cfg.validate().expect("invalid cluster config");
     let total_span = obs.span(metric::PHASE_TOTAL);
-    let mut stats = ClusterStats::default();
+    let mut judge = Judge::new(DisjointSets::new(store.num_ests()), cfg, obs);
 
     // Phase 1+2: bucket partitioning and GST construction (single rank).
     let span = obs.span(metric::PHASE_PARTITIONING);
     let counts = pace_gst::count_buckets(store, cfg.window_w);
     let partition = pace_gst::assign_buckets(&counts, 1);
-    stats.timers.partitioning = span.finish();
+    judge.stats.timers.partitioning = span.finish();
 
     let span = obs.span(metric::PHASE_GST_CONSTRUCTION);
     let forest = pace_gst::build_forest_for_rank(store, &partition, 0);
-    stats.timers.gst_construction = span.finish();
+    judge.stats.timers.gst_construction = span.finish();
     record_gst_stats(obs, &partition, &forest);
 
-    // Phase 3: node collection + sort (generator setup).
-    let span = obs.span(metric::PHASE_NODE_SORTING);
-    let mut generator = PairGenerator::new(
-        store,
-        &forest,
-        PairGenConfig {
-            psi: cfg.psi,
-            order: cfg.order,
-        },
-    );
-    stats.timers.node_sorting = span.finish();
-
-    // Phase 4: demand-driven clustering loop. Alignment runs in many
-    // short bursts, so it accumulates on a Timer and is recorded once.
-    // One context (and one batch buffer) serves the whole run: DP
-    // scratch and the batch vector are allocated once, never per pair.
+    // Phases 3+4: generator setup, then the demand-driven clustering
+    // loop. One context serves the whole run: DP scratch is allocated
+    // once, never per pair.
     let packed = cfg.packed_alignment.then(|| PackedText::from_store(store));
     let mut ctx = AlignContext::new(store, packed.as_ref());
-    let mut clusters = DisjointSets::new(store.num_ests());
-    let mut trace = MergeTrace::new();
-    let mut align_timer = Timer::new();
-    let mut batch: Vec<CandidatePair> = Vec::new();
-    loop {
-        generator.next_batch_into(cfg.batchsize, &mut batch);
-        if batch.is_empty() {
-            break;
-        }
-        for &pair in &batch {
-            let (i, j) = pair.est_indices();
-            if cfg.skip_clustered_pairs && clusters.same(i, j) {
-                stats.pairs_skipped += 1;
-                continue;
-            }
-            let outcome = align_timer.time(|| ctx.align(&pair, cfg));
-            stats.pairs_processed += 1;
-            if outcome.accepted {
-                stats.pairs_accepted += 1;
-                if clusters.union(i, j) {
-                    stats.merges += 1;
-                    trace.record(&outcome);
-                    obs.emit_with(|| Event::Merge {
-                        t: obs.now(),
-                        est_a: i,
-                        est_b: j,
-                        mcs_len: outcome.pair.mcs_len,
-                        score_ratio: outcome.score_ratio,
-                    });
-                }
-            }
-        }
-    }
-    stats.timers.alignment = align_timer.secs();
+    judge.cluster_forest(&mut ctx, &forest);
+    let (mut clusters, trace, mut stats) = judge.into_parts();
     obs.registry()
         .record_phase(metric::PHASE_ALIGNMENT, 0, stats.timers.alignment);
-    stats.pairs_generated = generator.stats().emitted;
-    stats.pairs_prefiltered = ctx.pairs_prefiltered();
     debug_assert_eq!(ctx.pairs_handled(), stats.pairs_processed);
     obs.registry()
         .add(metric::ALIGN_WS_REUSES, ctx.pairs_handled());
     // Sequential conservation is exact with nothing buffered:
-    // generated == processed + skipped.
-    stats.pairs_unconsumed = 0;
-    for (&len, &n) in generator.emitted_by_mcs_len() {
-        obs.registry()
-            .observe_n(metric::PAIRS_MCS_LEN, len as u64, n);
-    }
+    // generated == processed + skipped (`pairs_unconsumed` stays 0).
     stats.timers.total = total_span.finish();
     record_cluster_counters(obs, &stats);
 
@@ -192,6 +132,7 @@ pub fn cluster_ests<S: AsRef<[u8]>>(ests: &[S], cfg: &ClusterConfig) -> ClusterR
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pace_obs::Event;
     use pace_simulate::{generate, SimConfig};
 
     fn small_cfg() -> ClusterConfig {
@@ -343,7 +284,7 @@ mod tests {
         };
         let ds = generate(&sim);
         let store = SequenceStore::from_ests(&ds.ests).unwrap();
-        let (result, trace) = cluster_sequential_traced(&store, &small_cfg());
+        let (result, trace) = cluster_sequential_obs(&store, &small_cfg(), &Obs::noop());
         assert_eq!(trace.len() as u64, result.stats.merges);
         let replayed = trace.replay(80);
         let agreement = pace_quality::assess(&replayed, &result.labels);

@@ -105,19 +105,11 @@ pub fn cluster_parallel(store: &SequenceStore, cfg: &ClusterConfig, p: usize) ->
     cluster_parallel_obs(store, cfg, p, &Obs::noop()).0
 }
 
-/// Like [`cluster_parallel`], additionally returning the reconciled
-/// [`MergeTrace`] — replaying it reproduces the returned labels.
-pub fn cluster_parallel_traced(
-    store: &SequenceStore,
-    cfg: &ClusterConfig,
-    p: usize,
-) -> (ClusterResult, MergeTrace) {
-    cluster_parallel_obs(store, cfg, p, &Obs::noop())
-}
-
-/// Fully instrumented parallel run. All ranks share `obs`: phase spans
-/// land in its per-rank series, communication and pair counters in its
-/// registry, heartbeats and merges in its event sink.
+/// Fully instrumented parallel run, additionally returning the
+/// reconciled [`MergeTrace`] (replaying it reproduces the returned
+/// labels). All ranks share `obs`: phase spans land in its per-rank
+/// series, communication and pair counters in its registry, heartbeats
+/// and merges in its event sink.
 pub fn cluster_parallel_obs(
     store: &SequenceStore,
     cfg: &ClusterConfig,
@@ -162,14 +154,14 @@ pub fn cluster_parallel_faults(
     let outputs = run_world_obs(p, plan, obs, |rank| match topo.role_of(rank.rank()) {
         ShardRole::SubMaster(0) => RankOut::Root(Box::new(root_rank(
             &rank,
+            store,
             cfg,
             topo,
-            spec,
             under_faults,
             obs,
         ))),
         ShardRole::SubMaster(_) => {
-            submaster_rank(&rank, cfg, topo, spec, under_faults, false, obs);
+            submaster_rank(&rank, store, cfg, topo, under_faults, false, obs);
             RankOut::SubMaster
         }
         ShardRole::Slave(_) => {
@@ -219,10 +211,9 @@ pub fn cluster_master_transport(
     cfg.validate().expect("invalid cluster config");
     assert_eq!(rank.rank(), 0, "the root must run on rank 0");
     let topo = ShardTopology::new(rank.size(), cfg.shards).expect("invalid world layout");
-    let spec = ShardSpec::new(store.num_ests(), topo.shards);
     let total_span = obs.span(metric::PHASE_TOTAL);
 
-    let mut root = root_rank(rank, cfg, topo, spec, under_faults, obs);
+    let mut root = root_rank(rank, store, cfg, topo, under_faults, obs);
 
     let num_slaves = topo.num_slaves();
     let mut summaries: Vec<Option<WorkerSummary>> = vec![None; num_slaves];
@@ -280,7 +271,7 @@ pub fn cluster_worker_transport(
     match topo.role_of(rank.rank()) {
         ShardRole::SubMaster(0) => unreachable!("rank 0 is the launcher's in-process root"),
         ShardRole::SubMaster(_) => {
-            submaster_rank(rank, cfg, topo, spec, under_faults, true, obs);
+            submaster_rank(rank, store, cfg, topo, under_faults, true, obs);
         }
         ShardRole::Slave(_) => {
             let packed = cfg.packed_alignment.then(|| PackedText::from_store(store));
@@ -343,14 +334,16 @@ struct ShardLoop<'a> {
 impl<'a> ShardLoop<'a> {
     fn new(
         rank: &'a Rank<Msg>,
+        store: &SequenceStore,
         cfg: &'a ClusterConfig,
         topo: ShardTopology,
-        spec: ShardSpec,
         under_faults: bool,
         obs: &'a Obs,
     ) -> Self {
         let shard = rank.rank();
-        let mut master = Master::for_shard(spec, shard, topo.num_slaves(), cfg.clone());
+        let spec = ShardSpec::new(store.num_ests(), topo.shards);
+        let mut master =
+            Master::for_shard(spec, shard, topo.num_slaves(), cfg.clone()).check_anchors(store);
         master.begin(obs.now());
         let loop_t0 = obs.now();
         ShardLoop {
@@ -506,7 +499,7 @@ impl<'a> ShardLoop<'a> {
         if obs.events_enabled() && self.reports.is_multiple_of(HEARTBEAT_EVERY) {
             let now = obs.now();
             let elapsed = (now - self.loop_t0).max(f64::EPSILON);
-            let processed = self.master.stats.pairs_processed;
+            let processed = self.master.stats().pairs_processed;
             let dt = (now - self.hb_last_t).max(f64::EPSILON);
             obs.emit(Event::Heartbeat {
                 rank: self.rank.rank(),
@@ -531,9 +524,9 @@ impl<'a> ShardLoop<'a> {
         let loop_total = (self.obs.now() - self.loop_t0).max(f64::EPSILON);
         self.epoch += 1;
         let edges = self.master.drain_cross_edges();
-        let stats = self.master.stats;
+        let stats = *self.master.stats();
         let report = ShardReport {
-            records: self.master.trace.records().to_vec(),
+            records: self.master.trace().records().to_vec(),
             pairs_received: stats.pairs_generated,
             pairs_processed: stats.pairs_processed,
             pairs_accepted: stats.pairs_accepted,
@@ -665,15 +658,15 @@ impl Reconciler {
 /// hang the world.
 fn root_rank(
     rank: &Rank<Msg>,
+    store: &SequenceStore,
     cfg: &ClusterConfig,
     topo: ShardTopology,
-    spec: ShardSpec,
     under_faults: bool,
     obs: &Obs,
 ) -> RootOut {
     let partitioning = master_collectives(rank, cfg, obs);
-    let mut recon = Reconciler::new(spec.num_elements(), topo.shards);
-    let mut shard0 = ShardLoop::new(rank, cfg, topo, spec, under_faults, obs);
+    let mut recon = Reconciler::new(store.num_ests(), topo.shards);
+    let mut shard0 = ShardLoop::new(rank, store, cfg, topo, under_faults, obs);
     let mut early_summaries = Vec::new();
     let poll = poll_interval(cfg);
     // Progress window: generous enough that a live shard master always
@@ -751,15 +744,15 @@ fn root_rank(
 /// in a thread world rank 0's shared snapshot already covers them.
 fn submaster_rank(
     rank: &Rank<Msg>,
+    store: &SequenceStore,
     cfg: &ClusterConfig,
     topo: ShardTopology,
-    spec: ShardSpec,
     under_faults: bool,
     per_process: bool,
     obs: &Obs,
 ) {
     master_collectives(rank, cfg, obs);
-    let mut sl = ShardLoop::new(rank, cfg, topo, spec, under_faults, obs);
+    let mut sl = ShardLoop::new(rank, store, cfg, topo, under_faults, obs);
     let shard = sl.shard;
     let poll = poll_interval(cfg);
     let flush = |epoch: u64, edges: Vec<(u32, u32)>| {
@@ -1140,7 +1133,7 @@ mod tests {
     fn trace_replay_matches_parallel_labels() {
         let ds = dataset(80, 27);
         let store = SequenceStore::from_ests(&ds.ests).unwrap();
-        let (r, trace) = cluster_parallel_traced(&store, &small_cfg(), 3);
+        let (r, trace) = cluster_parallel_obs(&store, &small_cfg(), 3, &Obs::noop());
         assert_eq!(trace.len() as u64, r.stats.merges);
         let replayed = trace.replay(80);
         let agreement = pace_quality::assess(&replayed, &r.labels);
@@ -1283,7 +1276,7 @@ mod tests {
         // partitions.
         let ds = dataset(80, 41);
         let store = SequenceStore::from_ests(&ds.ests).unwrap();
-        let (single, trace) = cluster_parallel_traced(&store, &sharded_cfg(1), 4);
+        let (single, trace) = cluster_parallel_obs(&store, &sharded_cfg(1), 4, &Obs::noop());
         assert_eq!(trace.replay(80), single.labels);
         for k in [2usize, 3] {
             let (sharded, trace) =

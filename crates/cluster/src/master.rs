@@ -26,13 +26,16 @@
 //! world tears down — are counted and ignored rather than corrupting
 //! state (or, as an earlier version did, tripping an assertion).
 
-use crate::align_task::PairOutcome;
+use crate::align_task::{anchor_fits, PairOutcome};
 use crate::config::ClusterConfig;
+use crate::judge::Judge;
 use crate::messages::Msg;
 use crate::stats::ClusterStats;
 use crate::trace::MergeTrace;
 use pace_dsu::{ShardDsu, ShardSpec};
+use pace_obs::Obs;
 use pace_pairgen::CandidatePair;
+use pace_seq::{SequenceStore, StrId};
 use std::collections::VecDeque;
 
 /// Cap applied to the demand amplification factor α = P/P′ when a report
@@ -52,7 +55,8 @@ pub enum FaultNote {
     /// A report was ignored as duplicate or stale.
     DuplicateReport { slave: usize, seq: u64 },
     /// A report was rejected unread: it named an EST outside the
-    /// library or a pair this shard does not own.
+    /// library, a pair this shard does not own, or an anchor past the
+    /// end of a string.
     Rejected { slave: usize, seq: u64 },
     /// Queued pairs were discarded because no live slave remained.
     Abandoned { pairs: u64 },
@@ -85,27 +89,26 @@ struct SlaveLink {
 
 /// Master state: `CLUSTERS` + `WORKBUF` + flow control + recovery.
 ///
-/// `CLUSTERS` is a [`ShardDsu`]: the master owns the pairs whose smaller
-/// EST id falls in its shard's id-range. Unions inside the range are
-/// local; straddling ones are logged as cross edges (and still recorded
-/// in the trace the first time), and `same` is `false` for anything out
-/// of range — a sound under-approximation that keeps pair skipping
+/// `CLUSTERS` and the skip/merge rule live in a [`Judge`] over a
+/// [`ShardDsu`]: the master owns the pairs whose smaller EST id falls in
+/// its shard's id-range. Unions inside the range are local; straddling
+/// ones are logged as cross edges (and still recorded in the trace the
+/// first time), and `same` is `false` for anything out of range — a
+/// sound under-approximation that keeps pair skipping
 /// partition-preserving. With one shard the range is the whole library
-/// and this is the paper's single master.
+/// and this is the paper's single master. The judge emits no merge
+/// events: the parallel driver emits the reconciled trace instead.
 pub struct Master {
-    clusters: ShardDsu,
+    judge: Judge<ShardDsu>,
     workbuf: VecDeque<CandidatePair>,
-    cfg: ClusterConfig,
+    /// Length of every string by `StrId` index, once
+    /// [`Master::check_anchors`] was given the store: admission then
+    /// also refuses anchors a slave could not align.
+    str_lens: Option<Vec<u32>>,
     num_slaves: usize,
     links: Vec<SlaveLink>,
     /// Slaves parked without work (all of them exhausted and flushed).
     waiting: VecDeque<usize>,
-    /// Statistics accumulated master-side. `pairs_generated` counts the
-    /// pairs *received* in reports — under message loss this is less
-    /// than what the generators emitted; the driver reconciles.
-    pub stats: ClusterStats,
-    /// Audit log of every merge, in the order it was performed.
-    pub trace: MergeTrace,
     /// Recovery actions since the last [`Master::drain_fault_notes`].
     notes: Vec<FaultNote>,
     done: bool,
@@ -128,9 +131,9 @@ impl Master {
     pub fn for_shard(spec: ShardSpec, shard: usize, num_slaves: usize, cfg: ClusterConfig) -> Self {
         assert!(num_slaves > 0, "need at least one slave");
         Master {
-            clusters: ShardDsu::new(spec, shard),
+            judge: Judge::new(ShardDsu::new(spec, shard), &cfg, &Obs::noop()),
             workbuf: VecDeque::new(),
-            cfg,
+            str_lens: None,
             num_slaves,
             links: (0..num_slaves)
                 .map(|_| SlaveLink {
@@ -145,19 +148,28 @@ impl Master {
                 })
                 .collect(),
             waiting: VecDeque::new(),
-            stats: ClusterStats::default(),
-            trace: MergeTrace::new(),
             notes: Vec::new(),
             done: false,
         }
     }
 
+    /// Check every reported anchor against `store`'s string lengths, so
+    /// a pair no slave could align is refused at admission instead of
+    /// being dispatched to honest slaves (which refuse the whole batch).
+    /// The drivers always call this; without it only EST ids are checked.
+    pub fn check_anchors(mut self, store: &SequenceStore) -> Self {
+        let lens = (0..store.num_strings() as u32).map(|i| store.len_of(StrId(i)) as u32);
+        self.str_lens = Some(lens.collect());
+        self
+    }
+
     /// Arm the startup-report deadlines. Call once when the protocol
     /// loop starts; without it the master never times anyone out.
     pub fn begin(&mut self, now: f64) {
+        let timeout = self.judge.config().slave_timeout;
         for link in &mut self.links {
             if link.expecting.is_some() && !link.dead {
-                link.deadline = now + self.cfg.slave_timeout;
+                link.deadline = now + timeout;
             }
         }
     }
@@ -188,6 +200,18 @@ impl Master {
         self.links[slave].expecting
     }
 
+    /// Statistics accumulated master-side. `pairs_generated` counts the
+    /// pairs *received* in reports — under message loss this is less
+    /// than what the generators emitted; the driver reconciles.
+    pub fn stats(&self) -> &ClusterStats {
+        &self.judge.stats
+    }
+
+    /// Audit log of every merge, in the order it was performed.
+    pub fn trace(&self) -> &MergeTrace {
+        self.judge.trace()
+    }
+
     /// Recovery actions accumulated since the last drain, in order.
     pub fn drain_fault_notes(&mut self) -> Vec<FaultNote> {
         std::mem::take(&mut self.notes)
@@ -195,26 +219,32 @@ impl Master {
 
     /// Consume the master, yielding the final cluster structure.
     pub fn into_clusters(self) -> ShardDsu {
-        self.clusters
+        self.judge.clusters
     }
 
     /// Take the cross-shard merge edges logged since the last call (an
     /// epoch flush to the reconciler).
     pub fn drain_cross_edges(&mut self) -> Vec<(u32, u32)> {
-        self.clusters.drain_cross_edges()
+        self.judge.clusters.drain_cross_edges()
     }
 
     /// Distinct cross-shard merge edges logged over the whole run.
     pub fn cross_edges_total(&self) -> u64 {
-        self.clusters.cross_edges().total_unique() as u64
+        self.judge.clusters.cross_edges().total_unique() as u64
     }
 
-    /// Whether this shard owns `pair`: both ESTs exist and the smaller
-    /// one falls in the shard's id-range.
-    fn owns(&self, pair: &CandidatePair) -> bool {
+    /// Whether this shard admits `pair`: both ESTs exist, the smaller
+    /// one falls in the shard's id-range, and (once the store is known)
+    /// the anchor lies inside both strings.
+    fn admits(&self, pair: &CandidatePair) -> bool {
         let (i, j) = pair.est_indices();
-        let n = self.clusters.spec().num_elements();
-        i < n && j < n && self.clusters.owns(i.min(j))
+        let n = self.judge.clusters.spec().num_elements();
+        i < n
+            && j < n
+            && self.judge.clusters.owns(i.min(j))
+            && self.str_lens.as_ref().is_none_or(|lens| {
+                anchor_fits(pair, |s| lens.get(s.index()).map(|&len| len as usize))
+            })
     }
 
     /// Handle one slave report (slave ids are `0..num_slaves`). Returns
@@ -226,8 +256,8 @@ impl Master {
     /// or from a slave already declared dead — is counted and dropped:
     /// resends make duplicates a normal occurrence, and each sequence
     /// number must be folded into `CLUSTERS` exactly once. A report
-    /// naming an EST outside the library or a pair this shard does not
-    /// own is rejected whole, before it touches `CLUSTERS`, and counted
+    /// naming an EST outside the library, a pair this shard does not
+    /// own or an anchor past a string's end is rejected whole, before it touches `CLUSTERS`, and counted
     /// the same way: a sequence the master still awaits then goes
     /// through the ordinary resend/dead-slave path.
     pub fn handle_report(
@@ -242,12 +272,12 @@ impl Master {
         debug_assert!(slave < self.num_slaves);
         let link = &mut self.links[slave];
         if link.dead || link.expecting != Some(seq) {
-            self.stats.faults.duplicate_reports += 1;
+            self.judge.stats.faults.duplicate_reports += 1;
             self.notes.push(FaultNote::DuplicateReport { slave, seq });
             return Vec::new();
         }
-        if !results.iter().all(|r| self.owns(&r.pair)) || !pairs.iter().all(|p| self.owns(p)) {
-            self.stats.faults.duplicate_reports += 1;
+        if !results.iter().all(|r| self.admits(&r.pair)) || !pairs.iter().all(|p| self.admits(p)) {
+            self.judge.stats.faults.duplicate_reports += 1;
             self.notes.push(FaultNote::Rejected { slave, seq });
             return Vec::new();
         }
@@ -260,32 +290,18 @@ impl Master {
 
         // 1. Fold the alignment results into CLUSTERS.
         for r in &results {
-            self.stats.pairs_processed += 1;
-            if r.accepted {
-                self.stats.pairs_accepted += 1;
-                let (i, j) = r.pair.est_indices();
-                if self.clusters.union(i, j) {
-                    self.stats.merges += 1;
-                    self.trace.record(r);
-                }
-            }
+            self.judge.fold(r);
         }
 
         // 2. Admit the useful subset of the reported pairs (P′ of P):
-        //    a pair earns a WORKBUF slot only if its ESTs are still in
-        //    different clusters.
+        //    a pair earns a WORKBUF slot only if the judge does not
+        //    skip it.
         let p = pairs.len();
-        let mut p_useful = 0usize;
-        for pair in pairs {
-            self.stats.pairs_generated += 1;
-            let (i, j) = pair.est_indices();
-            if self.cfg.skip_clustered_pairs && self.clusters.same(i, j) {
-                self.stats.pairs_skipped += 1;
-            } else {
-                self.workbuf.push_back(pair);
-                p_useful += 1;
-            }
-        }
+        self.judge.stats.pairs_generated += p as u64;
+        let before = self.workbuf.len();
+        let admitted = pairs.into_iter().filter(|pair| !self.judge.skips(pair));
+        self.workbuf.extend(admitted);
+        let p_useful = self.workbuf.len() - before;
 
         let mut out = Vec::new();
 
@@ -317,9 +333,9 @@ impl Master {
             if link.dead || now < link.deadline {
                 continue;
             }
-            if link.retries < self.cfg.max_retries {
+            if link.retries < self.judge.config().max_retries {
                 link.retries += 1;
-                link.deadline = now + self.cfg.slave_timeout;
+                link.deadline = now + self.judge.config().slave_timeout;
                 let retry = link.retries;
                 let msg = match &link.pending {
                     Some((work, request)) => Msg::Work {
@@ -336,7 +352,7 @@ impl Master {
                         request: 0,
                     },
                 };
-                self.stats.faults.retries += 1;
+                self.judge.stats.faults.retries += 1;
                 self.notes.push(FaultNote::Resend {
                     slave: s,
                     seq,
@@ -387,8 +403,9 @@ impl Master {
             // supplied with alignment work.
             let active = self.links.iter().filter(|l| !l.exhausted).count().max(1);
             let delta = self.num_slaves as f64 / active as f64;
-            let nfree = self.cfg.workbuf_cap.saturating_sub(self.workbuf.len());
-            let demand = (alpha * delta * self.cfg.batchsize as f64).round() as usize;
+            let cfg = self.judge.config();
+            let nfree = cfg.workbuf_cap.saturating_sub(self.workbuf.len());
+            let demand = (alpha * delta * cfg.batchsize as f64).round() as usize;
             // Active slaves always request at least one pair so they never
             // stall silently.
             demand.min(nfree / self.num_slaves).max(1)
@@ -418,7 +435,7 @@ impl Master {
         link.expecting = Some(seq);
         link.pending = Some((work.clone(), request));
         link.retries = 0;
-        link.deadline = now + self.cfg.slave_timeout;
+        link.deadline = now + self.judge.config().slave_timeout;
         Msg::Work {
             seq,
             pairs: work,
@@ -486,8 +503,8 @@ impl Master {
             }
         }
         self.waiting.retain(|&w| w != slave);
-        self.stats.faults.dead_slaves += 1;
-        self.stats.faults.reassigned_pairs += reassigned as u64;
+        self.judge.stats.faults.dead_slaves += 1;
+        self.judge.stats.faults.reassigned_pairs += reassigned as u64;
         self.notes.push(FaultNote::DeadSlave { slave, reassigned });
     }
 
@@ -499,8 +516,8 @@ impl Master {
             return;
         }
         self.workbuf.clear();
-        self.stats.pairs_skipped += n;
-        self.stats.faults.abandoned_pairs += n;
+        self.judge.stats.pairs_skipped += n;
+        self.judge.stats.faults.abandoned_pairs += n;
         self.notes.push(FaultNote::Abandoned { pairs: n });
     }
 
@@ -508,15 +525,13 @@ impl Master {
     /// the *latest* cluster state (a pair admitted earlier may have become
     /// redundant since).
     fn drain_work(&mut self) -> Vec<CandidatePair> {
-        let mut work = Vec::with_capacity(self.cfg.batchsize.min(self.workbuf.len()));
-        while work.len() < self.cfg.batchsize {
+        let batchsize = self.judge.config().batchsize;
+        let mut work = Vec::with_capacity(batchsize.min(self.workbuf.len()));
+        while work.len() < batchsize {
             let Some(pair) = self.workbuf.pop_front() else {
                 break;
             };
-            let (i, j) = pair.est_indices();
-            if self.cfg.skip_clustered_pairs && self.clusters.same(i, j) {
-                self.stats.pairs_skipped += 1;
-            } else {
+            if !self.judge.skips(&pair) {
                 work.push(pair);
             }
         }
@@ -596,9 +611,9 @@ mod tests {
             vec![],
             false,
         );
-        assert_eq!(m.stats.pairs_processed, 2);
-        assert_eq!(m.stats.pairs_accepted, 1);
-        assert_eq!(m.stats.merges, 1);
+        assert_eq!(m.stats().pairs_processed, 2);
+        assert_eq!(m.stats().pairs_accepted, 1);
+        assert_eq!(m.stats().merges, 1);
         // Active slave always gets a reply with positive demand.
         assert_eq!(replies.len(), 1);
         match &replies[0].1 {
@@ -615,11 +630,28 @@ mod tests {
 
     #[test]
     fn redundant_pairs_are_skipped_at_admission() {
-        let mut m = Master::new(10, 1, cfg());
+        // One pair per batch: a redundant pair that got past admission
+        // would still sit in WORKBUF behind (5, 6).
+        let mut c = cfg();
+        c.batchsize = 1;
+
+        // A merge folded from an earlier report makes (1, 2) redundant
+        // when it arrives in a later one.
+        let mut m = Master::new(10, 1, c.clone());
         report(&mut m, 0, vec![outcome(1, 2, true)], vec![], false);
-        report(&mut m, 0, vec![], vec![pair(1, 2), pair(5, 6)], false);
-        assert_eq!(m.stats.pairs_generated, 2);
-        assert_eq!(m.stats.pairs_skipped, 1);
+        report(&mut m, 0, vec![], vec![pair(5, 6), pair(1, 2)], false);
+        assert_eq!(m.stats().pairs_generated, 2);
+        assert_eq!(m.stats().pairs_skipped, 1);
+        assert_eq!(m.workbuf_len(), 0);
+
+        // A report's results fold into CLUSTERS before its own pairs are
+        // admitted, so (3, 4) is already redundant on arrival.
+        let mut m = Master::new(10, 1, c);
+        let pairs = vec![pair(5, 6), pair(3, 4)];
+        report(&mut m, 0, vec![outcome(3, 4, true)], pairs, false);
+        assert_eq!(m.stats().pairs_generated, 2);
+        assert_eq!(m.stats().pairs_skipped, 1);
+        assert_eq!(m.workbuf_len(), 0);
     }
 
     #[test]
@@ -639,7 +671,7 @@ mod tests {
             Msg::Work { pairs, .. } => assert!(pairs.is_empty(), "stale pair dispatched"),
             other => panic!("unexpected {}", other.kind()),
         }
-        assert_eq!(m.stats.pairs_skipped, 1);
+        assert_eq!(m.stats().pairs_skipped, 1);
     }
 
     #[test]
@@ -713,7 +745,7 @@ mod tests {
         let replies = report(&mut m, 0, vec![], vec![], true);
         assert!(m.is_done());
         assert!(replies.iter().any(|(_, msg)| matches!(msg, Msg::Shutdown)));
-        assert_eq!(m.stats.merges, 1);
+        assert_eq!(m.stats().merges, 1);
     }
 
     #[test]
@@ -732,20 +764,6 @@ mod tests {
             }
             other => panic!("unexpected {}", other.kind()),
         }
-    }
-
-    #[test]
-    fn stats_balance_generated() {
-        let mut m = Master::new(10, 1, cfg());
-        report(
-            &mut m,
-            0,
-            vec![outcome(0, 1, true)],
-            vec![pair(0, 1), pair(2, 3)],
-            false,
-        );
-        assert_eq!(m.stats.pairs_generated, 2);
-        assert_eq!(m.stats.pairs_skipped, 1);
     }
 
     // ---- recovery machinery ------------------------------------------
@@ -784,9 +802,9 @@ mod tests {
             0.0,
         );
         assert!(replies.is_empty(), "stale report must produce no sends");
-        assert_eq!(m.stats.faults.duplicate_reports, 1);
-        assert_eq!(m.stats.pairs_processed, 0, "stale results folded");
-        assert_eq!(m.stats.pairs_generated, 0, "stale pairs admitted");
+        assert_eq!(m.stats().faults.duplicate_reports, 1);
+        assert_eq!(m.stats().pairs_processed, 0, "stale results folded");
+        assert_eq!(m.stats().pairs_generated, 0, "stale pairs admitted");
         assert!(!m.is_done());
         assert_eq!(
             m.drain_fault_notes(),
@@ -810,10 +828,10 @@ mod tests {
             let replies = m.handle_report(0, seq, results, pairs, false, 0.0);
             assert!(replies.is_empty(), "rejected report must produce no sends");
         }
-        assert_eq!(m.stats.faults.duplicate_reports, 4);
-        assert_eq!(m.stats.merges, 0);
-        assert_eq!(m.stats.pairs_processed, 0);
-        assert_eq!(m.stats.pairs_generated, 0);
+        assert_eq!(m.stats().faults.duplicate_reports, 4);
+        assert_eq!(m.stats().merges, 0);
+        assert_eq!(m.stats().pairs_processed, 0);
+        assert_eq!(m.stats().pairs_generated, 0);
         assert_eq!(m.workbuf_len(), 0);
         assert_eq!(
             m.expected_seq(0),
@@ -841,12 +859,40 @@ mod tests {
         report(&mut m, 0, results, vec![], true);
         drain_slave(&mut m, 0);
         assert!(m.is_done());
-        assert_eq!(m.stats.merges, 2);
+        assert_eq!(m.stats().merges, 2);
         assert_eq!(m.cross_edges_total(), 1);
         assert_eq!(
-            m.stats.pairs_generated,
-            m.stats.pairs_processed + m.stats.pairs_skipped
+            m.stats().pairs_generated,
+            m.stats().pairs_processed + m.stats().pairs_skipped
         );
+    }
+
+    #[test]
+    fn anchors_past_a_strings_end_are_rejected_before_dispatch() {
+        // Ten ESTs of 40 bases; `pair` anchors 30 bases at offset 0.
+        let store = SequenceStore::from_ests(&[[b'A'; 40]; 10]).unwrap();
+        let mut m = Master::new(10, 1, cfg()).check_anchors(&store);
+        let seq = m.expected_seq(0).unwrap();
+        let past_end = |off1, off2| CandidatePair {
+            off1,
+            off2,
+            ..pair(1, 2)
+        };
+        for bad in [past_end(11, 0), past_end(0, 40), past_end(u32::MAX, 0)] {
+            let replies = m.handle_report(0, seq, vec![], vec![pair(5, 6), bad], false, 0.0);
+            assert!(replies.is_empty(), "rejected report must produce no sends");
+        }
+        let replies = m.handle_report(0, seq, vec![], vec![past_end(10, 10)], false, 0.0);
+        assert_eq!(m.stats().faults.duplicate_reports, 3);
+        assert_eq!(
+            m.stats().pairs_generated,
+            1,
+            "only the last report admitted"
+        );
+        match &replies[0].1 {
+            Msg::Work { pairs, .. } => assert_eq!(pairs, &vec![past_end(10, 10)]),
+            other => panic!("unexpected {}", other.kind()),
+        }
     }
 
     #[test]
@@ -886,11 +932,11 @@ mod tests {
         assert_eq!(*seq, orig_seq, "resend must reuse the sequence number");
         assert_eq!(pairs.len(), orig_pairs.len());
         assert_eq!(*request, orig_request);
-        assert_eq!(m.stats.faults.retries, 1);
+        assert_eq!(m.stats().faults.retries, 1);
         // The resent batch is answered normally.
         let r = m.handle_report(0, orig_seq, vec![], vec![], true, 2.0);
         assert!(!r.is_empty());
-        assert_eq!(m.stats.faults.dead_slaves, 0);
+        assert_eq!(m.stats().faults.dead_slaves, 0);
     }
 
     #[test]
@@ -913,8 +959,8 @@ mod tests {
         assert!(m.is_dead(0));
         assert!(m.is_done(), "all slaves dead must terminate the run");
         assert!(r.iter().any(|(_, msg)| matches!(msg, Msg::Shutdown)));
-        assert_eq!(m.stats.faults.dead_slaves, 1);
-        assert_eq!(m.stats.faults.retries, 2);
+        assert_eq!(m.stats().faults.dead_slaves, 1);
+        assert_eq!(m.stats().faults.retries, 2);
     }
 
     #[test]
@@ -938,7 +984,7 @@ mod tests {
         let before = m.workbuf_len();
         m.tick(2.0);
         assert!(m.is_dead(0));
-        assert_eq!(m.stats.faults.reassigned_pairs, 4);
+        assert_eq!(m.stats().faults.reassigned_pairs, 4);
         assert_eq!(m.workbuf_len(), before + 4, "pending batch reclaimed");
         assert!(!m.is_done(), "slave 1 still owes its startup report");
         // Slave 1 arrives and inherits the reassigned work.
@@ -978,11 +1024,11 @@ mod tests {
         assert!(m.is_dead(0) && m.is_done());
         // 2 reassigned + 3 queued = 5 abandoned; conservation holds:
         // received == processed + skipped.
-        assert_eq!(m.stats.faults.reassigned_pairs, 2);
-        assert_eq!(m.stats.faults.abandoned_pairs, 5);
+        assert_eq!(m.stats().faults.reassigned_pairs, 2);
+        assert_eq!(m.stats().faults.abandoned_pairs, 5);
         assert_eq!(
-            m.stats.pairs_generated,
-            m.stats.pairs_processed + m.stats.pairs_skipped
+            m.stats().pairs_generated,
+            m.stats().pairs_processed + m.stats().pairs_skipped
         );
         assert_eq!(m.workbuf_len(), 0);
     }
@@ -1003,16 +1049,16 @@ mod tests {
         assert!(m.expected_seq(0).is_some(), "slave 0 owes a report");
         m.handle_world_down();
         assert!(m.is_done());
-        assert_eq!(m.stats.faults.dead_slaves, 2);
+        assert_eq!(m.stats().faults.dead_slaves, 2);
         assert_eq!(m.workbuf_len(), 0);
         assert_eq!(
-            m.stats.pairs_generated,
-            m.stats.pairs_processed + m.stats.pairs_skipped
+            m.stats().pairs_generated,
+            m.stats().pairs_processed + m.stats().pairs_skipped
         );
         // Idempotent: a second notification changes nothing.
-        let dup = m.stats;
+        let dup = *m.stats();
         m.handle_world_down();
-        assert_eq!(m.stats, dup);
+        assert_eq!(*m.stats(), dup);
     }
 
     #[test]

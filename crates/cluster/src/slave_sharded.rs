@@ -234,11 +234,9 @@ pub fn run_slave_obs(
             // Global abort: a shard master died; every session that
             // cannot be closed by its owner is closed here.
             Msg::Abort => return finish(&generator, alignment, &pairbufs, &ctx),
-            Msg::Shutdown => {
-                debug_assert!(from < k, "shutdown from non-master rank {from}");
-                let m = from;
-                if !sessions[m].done {
-                    sessions[m].done = true;
+            Msg::Shutdown if from < k => {
+                if !sessions[from].done {
+                    sessions[from].done = true;
                     done_count += 1;
                 }
             }
@@ -246,8 +244,7 @@ pub fn run_slave_obs(
                 seq,
                 pairs,
                 request,
-            } => {
-                debug_assert!(from < k, "work from non-master rank {from}");
+            } if from < k && pairs.iter().all(|p| ctx.holds(p)) => {
                 let m = from;
                 debug_assert_eq!(
                     seq,
@@ -280,12 +277,17 @@ pub fn run_slave_obs(
                 let results = align_batch(&mut ctx, &pairs, cfg, &mut alignment, obs, rank.rank());
                 route_results(results, &mut pending);
             }
-            Msg::Report { .. }
+            // The trust boundary: `Work` or `Shutdown` from a rank that
+            // is no shard master, a `Work` naming a string or anchor the
+            // store does not hold (refused whole, unanswered, like a
+            // master refuses a bad report), and the kinds only masters
+            // receive are dropped unread.
+            Msg::Shutdown
+            | Msg::Work { .. }
+            | Msg::Report { .. }
             | Msg::Summary(_)
             | Msg::CrossMerge { .. }
-            | Msg::ShardDone { .. } => {
-                unreachable!("slaves never receive {}", msg.kind())
-            }
+            | Msg::ShardDone { .. } => {}
         }
     }
     finish(&generator, alignment, &pairbufs, &ctx)

@@ -12,7 +12,7 @@ use pace_cluster::slave_sharded::run_slave;
 use pace_cluster::ClusterConfig;
 use pace_gst::{assign_buckets, build_forest_for_rank, count_buckets};
 use pace_mpisim::run_world;
-use pace_seq::SequenceStore;
+use pace_seq::{EstId, SequenceStore, Strand};
 use pace_simulate::{generate, SimConfig};
 
 fn workload(n: usize, seed: u64) -> SequenceStore {
@@ -230,4 +230,70 @@ fn empty_forest_slave_exhausts_immediately() {
         true
     });
     assert_eq!(out[0], Some(true));
+}
+
+fn work(seq: u64, pairs: Vec<pace_pairgen::CandidatePair>, request: usize) -> Msg {
+    Msg::Work {
+        seq,
+        pairs,
+        request,
+    }
+}
+
+#[test]
+fn untrusted_messages_are_dropped_without_a_panic() {
+    // Three ranks, one shard: rank 0 scripts the master, rank 1 is the
+    // real slave, and rank 2 — a slave rank, not a master — sends it
+    // what only a master may send, plus kinds a slave never receives.
+    let store = workload(60, 76);
+    let cfg = cfg();
+    let counts = count_buckets(&store, cfg.window_w);
+    let forest = build_forest_for_rank(&store, &assign_buckets(&counts, 1), 0);
+    run_world(3, |rank| match rank.rank() {
+        0 => {
+            // Take the startup report, and wait until the rogue rank's
+            // messages are queued ahead of ours in the slave's inbox.
+            let (mut p0, mut rogue_done) = (None, false);
+            while p0.is_none() || !rogue_done {
+                match rank.recv().expect("world alive") {
+                    (1, Msg::Report { pairs, .. }) => p0 = Some(pairs),
+                    (2, Msg::Shutdown) => rogue_done = true,
+                    (from, other) => panic!("unexpected {} from {from}", other.kind()),
+                }
+            }
+            let p0 = p0.unwrap();
+            // Batches naming a string the store does not hold, or an
+            // anchor past a string's end, are refused whole: unanswered.
+            let mut bad = p0[0];
+            bad.s2 = EstId(1_000_000).str_id(Strand::Forward);
+            let mut past_end = p0[0];
+            past_end.off1 = u32::MAX - past_end.mcs_len;
+            rank.send(1, work(1, vec![p0[1], bad], 0));
+            rank.send(1, work(1, vec![past_end], 0));
+            // The well-formed batch under the same sequence number is
+            // the one the slave answers.
+            rank.send(1, work(1, p0.clone(), 3));
+            let (r1, p1, _) = recv_report(&rank);
+            assert_eq!((r1.len(), p1.len()), (cfg.batchsize, 3));
+            rank.send(1, work(2, vec![], 0));
+            let (r2, _, _) = recv_report(&rank);
+            assert_eq!(r2.len(), p0.len(), "only the good batch was aligned");
+            rank.send(1, Msg::Shutdown);
+        }
+        1 => {
+            run_slave(&rank, &store, &forest, &cfg);
+        }
+        _ => {
+            let report = Msg::Report {
+                seq: 0,
+                results: vec![],
+                pairs: vec![],
+                exhausted: true,
+            };
+            for msg in [work(1, vec![], 5), Msg::Shutdown, report] {
+                rank.send(1, msg);
+            }
+            rank.send(0, Msg::Shutdown);
+        }
+    });
 }

@@ -15,7 +15,8 @@
 //! * pairs between two *old* ESTs are skipped outright — their promising
 //!   pairs were already enumerated and judged in earlier rounds, and
 //!   re-aligning them cannot change the partition (alignment acceptance
-//!   is deterministic);
+//!   is deterministic). This is the [`Judge`]'s `first_new` floor, set
+//!   to the fold's first new EST;
 //! * only old–new and new–new pairs reach the aligner;
 //! * every accepted merge is recorded into a rolling [`MergeTrace`], so
 //!   the accumulated state can be checkpointed and cross-checked by
@@ -32,10 +33,10 @@
 //! pairs are booked into `pairs.skipped` alongside the already-clustered
 //! rule's skips.
 
-use pace_cluster::{AlignContext, ClusterConfig, ClusterStats, MergeTrace};
+use pace_cluster::{AlignContext, ClusterConfig, ClusterStats, Judge, MergeTrace};
 use pace_dsu::DisjointSets;
 use pace_gst::{assign_buckets, build_bucket_batch, count_buckets, LocalForest};
-use pace_pairgen::{CandidatePair, PairGenConfig, PairGenerator};
+use pace_obs::Obs;
 use pace_seq::{PackedText, SeqError, SequenceStore};
 use pace_store::{plan_batches, DEFAULT_BYTES_PER_SUFFIX};
 
@@ -59,18 +60,14 @@ pub struct FoldSummary {
 /// Clusters an EST collection that grows in batches.
 #[derive(Debug, Clone)]
 pub struct IncrementalClusterer {
-    cfg: ClusterConfig,
     /// Estimated peak subtree bytes allowed in memory per fold;
     /// 0 = unlimited (one build batch).
     memory_budget: u64,
     ests: Vec<Vec<u8>>,
     ids: Vec<String>,
-    clusters: DisjointSets,
-    trace: MergeTrace,
-    /// ESTs below this index have been through at least one round.
-    old_count: usize,
-    /// Cumulative statistics over all rounds.
-    pub stats: ClusterStats,
+    /// The live partition, the rolling trace and the cumulative
+    /// statistics over all rounds.
+    judge: Judge<DisjointSets>,
 }
 
 impl IncrementalClusterer {
@@ -78,14 +75,10 @@ impl IncrementalClusterer {
     pub fn new(cfg: ClusterConfig) -> Self {
         cfg.validate().expect("invalid cluster config");
         IncrementalClusterer {
-            cfg,
             memory_budget: 0,
             ests: Vec::new(),
             ids: Vec::new(),
-            clusters: DisjointSets::new(0),
-            trace: MergeTrace::new(),
-            old_count: 0,
-            stats: ClusterStats::default(),
+            judge: Judge::new(DisjointSets::new(0), &cfg, &Obs::noop()),
         }
     }
 
@@ -97,8 +90,8 @@ impl IncrementalClusterer {
         c
     }
 
-    /// Reassemble a clusterer from checkpointed state. `old_count` is
-    /// the full collection: everything persisted has been folded.
+    /// Reassemble a clusterer from checkpointed state: everything
+    /// persisted has been folded.
     pub fn from_parts(
         cfg: ClusterConfig,
         memory_budget: u64,
@@ -123,22 +116,22 @@ impl IncrementalClusterer {
                 ests.len()
             ));
         }
-        let old_count = ests.len();
         Ok(IncrementalClusterer {
-            cfg,
             memory_budget,
             ests,
             ids,
-            clusters,
-            trace,
-            old_count,
-            stats,
+            judge: Judge::resume(clusters, trace, stats, &cfg, &Obs::noop()),
         })
     }
 
     /// The clustering configuration this state was built under.
     pub fn config(&self) -> &ClusterConfig {
-        &self.cfg
+        self.judge.config()
+    }
+
+    /// Cumulative statistics over all rounds.
+    pub fn stats(&self) -> &ClusterStats {
+        &self.judge.stats
     }
 
     /// The per-fold memory budget (0 = unlimited).
@@ -158,18 +151,18 @@ impl IncrementalClusterer {
 
     /// Current cluster label per EST.
     pub fn labels(&mut self) -> Vec<usize> {
-        self.clusters.labels()
+        self.judge.clusters.labels()
     }
 
     /// Current number of clusters.
     pub fn num_clusters(&self) -> usize {
-        self.clusters.num_sets()
+        self.judge.clusters.num_sets()
     }
 
     /// The rolling merge trace: every accepted merge since the first
     /// fold (or since the checkpoint this state was restored from).
     pub fn trace(&self) -> &MergeTrace {
-        &self.trace
+        self.judge.trace()
     }
 
     /// Per-EST identifiers, aligned with [`Self::labels`].
@@ -184,7 +177,7 @@ impl IncrementalClusterer {
 
     /// The current union–find (for checkpoint encoding).
     pub fn clusters_dsu(&self) -> &DisjointSets {
-        &self.clusters
+        &self.judge.clusters
     }
 
     /// Incorporate a new batch of ESTs, updating the clustering.
@@ -245,81 +238,38 @@ impl IncrementalClusterer {
         let mut grown = DisjointSets::new(self.ests.len());
         for i in 0..first_new {
             // Union with the old representative keeps components intact.
-            let root = self.clusters.find(i);
+            let root = self.judge.clusters.find(i);
             grown.union(i, root);
         }
-        self.clusters = grown;
+        self.judge.clusters = grown;
 
         // Rebuild the forest over everything (linear work) in batches
-        // sized to the memory budget, then run the demand loop with the
-        // old–old skip rule per batch.
-        let counts = count_buckets(&store, self.cfg.window_w);
+        // sized to the memory budget, then run the judge over each batch
+        // with the old–old floor at the first new EST.
+        let cfg = self.judge.config();
+        let counts = count_buckets(&store, cfg.window_w);
         let partition = assign_buckets(&counts, 1);
         let plan = plan_batches(&partition, 0, self.memory_budget, DEFAULT_BYTES_PER_SUFFIX);
 
-        let packed = self
-            .cfg
-            .packed_alignment
-            .then(|| PackedText::from_store(&store));
+        let w = cfg.window_w;
+        let packed = cfg.packed_alignment.then(|| PackedText::from_store(&store));
         let mut ctx = AlignContext::new(&store, packed.as_ref());
-        let prefiltered_base = self.stats.pairs_prefiltered;
-        let mut aligned_this_round = 0u64;
-        let mut merges_this_round = 0u64;
-        let mut pairbuf: Vec<CandidatePair> = Vec::new();
-
+        let before = self.judge.stats;
+        self.judge.set_first_new(first_new);
         for bucket_batch in &plan.batches {
             let forest = LocalForest {
                 rank: 0,
-                w: self.cfg.window_w,
-                subtrees: build_bucket_batch(&store, self.cfg.window_w, bucket_batch),
+                w,
+                subtrees: build_bucket_batch(&store, w, bucket_batch),
             };
-            let mut generator = PairGenerator::new(
-                &store,
-                &forest,
-                PairGenConfig {
-                    psi: self.cfg.psi,
-                    order: self.cfg.order,
-                },
-            );
-            loop {
-                generator.next_batch_into(self.cfg.batchsize, &mut pairbuf);
-                if pairbuf.is_empty() {
-                    break;
-                }
-                for &pair in &pairbuf {
-                    let (i, j) = pair.est_indices();
-                    if i < first_new && j < first_new {
-                        // Both old: judged in a previous round. Booked
-                        // as skipped so flow conservation stays exact.
-                        self.stats.pairs_skipped += 1;
-                        continue;
-                    }
-                    if self.cfg.skip_clustered_pairs && self.clusters.same(i, j) {
-                        self.stats.pairs_skipped += 1;
-                        continue;
-                    }
-                    let outcome = ctx.align(&pair, &self.cfg);
-                    aligned_this_round += 1;
-                    self.stats.pairs_processed += 1;
-                    if outcome.accepted {
-                        self.stats.pairs_accepted += 1;
-                        if self.clusters.union(i, j) {
-                            self.stats.merges += 1;
-                            merges_this_round += 1;
-                            self.trace.record(&outcome);
-                        }
-                    }
-                }
-            }
-            self.stats.pairs_generated += generator.stats().emitted;
+            self.judge.cluster_forest(&mut ctx, &forest);
         }
-        self.stats.pairs_prefiltered = prefiltered_base + ctx.pairs_prefiltered();
-        self.old_count = self.ests.len();
+        let after = self.judge.stats;
         Ok(FoldSummary {
             new_ests: batch.len(),
             total_ests: self.ests.len(),
-            aligned: aligned_this_round,
-            merges: merges_this_round,
+            aligned: after.pairs_processed - before.pairs_processed,
+            merges: after.merges - before.merges,
             num_clusters: self.num_clusters(),
             build_batches: plan.len() as u64,
         })
@@ -329,7 +279,7 @@ impl IncrementalClusterer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pace_cluster::cluster_sequential;
+    use pace_cluster::{cluster_sequential, cluster_sequential_obs};
     use pace_simulate::{generate, SimConfig};
 
     fn cfg() -> ClusterConfig {
@@ -439,7 +389,7 @@ mod tests {
         let mut inc = IncrementalClusterer::new(cfg());
         inc.add_batch(&ds.ests[..35]).unwrap();
         inc.add_batch(&ds.ests[35..]).unwrap();
-        let s = &inc.stats;
+        let s = inc.stats();
         assert_eq!(
             s.pairs_generated,
             s.pairs_processed + s.pairs_skipped + s.pairs_unconsumed,
@@ -482,7 +432,7 @@ mod tests {
             first.ids().to_vec(),
             first.clusters_dsu().clone(),
             first.trace().clone(),
-            first.stats,
+            *first.stats(),
         )
         .unwrap();
         restored.add_batch(&ds.ests[45..]).unwrap();
@@ -501,19 +451,49 @@ mod tests {
         assert_eq!(inc.num_clusters(), 0);
     }
 
+    /// The sequential driver, the persistent driver (one bucket batch)
+    /// and a single-batch fold run one rule over one pair stream: the
+    /// merge traces and pair-flow counters match, not just the
+    /// partitions — with skipping on, and off (where accepted alignments
+    /// that merge nothing new occur).
     #[test]
     fn single_batch_equals_sequential_driver() {
         let ds = dataset(60, 63);
         let store = SequenceStore::from_ests(&ds.ests).unwrap();
-        let seq = cluster_sequential(&store, &cfg());
-        let mut inc = IncrementalClusterer::new(cfg());
-        inc.add_batch(&ds.ests).unwrap();
-        let agreement = pace_quality::assess(&inc.labels(), &seq.labels);
-        assert_eq!(
-            agreement.counts.fp + agreement.counts.fn_,
-            0,
-            "single-batch incremental differs from the sequential driver"
-        );
+        let flow = |s: &ClusterStats| ClusterStats {
+            timers: Default::default(),
+            ..*s
+        };
+        for skip in [true, false] {
+            let mut config = crate::PaceConfig::small_inputs();
+            config.cluster = cfg();
+            config.cluster.skip_clustered_pairs = skip;
+            let (seq, seq_trace) = cluster_sequential_obs(&store, &config.cluster, &Obs::noop());
+            let s = seq.stats;
+            assert!(if skip {
+                s.pairs_skipped > 0
+            } else {
+                s.pairs_accepted > s.merges
+            });
+
+            let dir = std::env::temp_dir().join(format!("pace-fold-{skip}-{}", std::process::id()));
+            let persist = crate::PersistConfig::new(&dir);
+            let input = crate::PersistInput::Store(&store);
+            let persistent = crate::run_persistent(&config, &persist, input, &Obs::noop());
+            std::fs::remove_dir_all(&dir).ok();
+            let persistent = persistent.unwrap().outcome;
+
+            let mut inc = IncrementalClusterer::new(config.cluster.clone());
+            inc.add_batch(&ds.ests).unwrap();
+            for (name, trace, stats) in [
+                ("persistent", &persistent.trace, &persistent.result.stats),
+                ("incremental", inc.trace(), inc.stats()),
+            ] {
+                assert_eq!(trace, &seq_trace, "{name} merge trace, skip {skip}");
+                assert_eq!(flow(stats), flow(&s), "{name} counters, skip {skip}");
+            }
+            assert_eq!(inc.labels(), seq.labels);
+        }
     }
 
     #[test]

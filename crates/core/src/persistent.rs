@@ -33,12 +33,12 @@
 
 use crate::pipeline::{Pace, PaceConfig, PaceError, PaceOutcome};
 use pace_cluster::{
-    record_cluster_counters, AlignContext, ClusterConfig, ClusterResult, ClusterStats, MergeTrace,
+    record_cluster_counters, AlignContext, ClusterConfig, ClusterResult, ClusterStats, Judge,
+    MergeTrace,
 };
 use pace_dsu::DisjointSets;
 use pace_gst::{assign_buckets, build_bucket_batch, count_buckets, BucketPartition, LocalForest};
-use pace_obs::{metric, Event, Obs, Timer};
-use pace_pairgen::{CandidatePair, PairGenConfig, PairGenerator};
+use pace_obs::{metric, Obs};
 use pace_seq::{read_fasta_into_store, PackedText, SequenceStore};
 use pace_store::codec;
 use pace_store::{
@@ -526,22 +526,19 @@ impl<'a> Runner<'a> {
     }
 
     /// Write the heavy checkpoint (union–find + trace + counters). The
-    /// in-flight alignment seconds are folded into the stored stats so
-    /// a resumed run's timers don't silently lose kernel time.
+    /// counters carry the alignment seconds so far, so a resumed run's
+    /// timers don't silently lose kernel time.
     fn write_heavy(
         &mut self,
         clusters: &DisjointSets,
         trace: &MergeTrace,
         stats: &ClusterStats,
-        align_secs: f64,
     ) -> Result<(), PaceError> {
         let span = self.obs.span(metric::PHASE_CHECKPOINT);
-        let mut at_ckpt = *stats;
-        at_ckpt.timers.alignment += align_secs;
         let mut w = SnapshotWriter::create(&self.cluster_path)?;
         w.add_section(SEC_DSU, &codec::encode_dsu(clusters))?;
         w.add_section(SEC_TRACE, &codec::encode_merge_trace(trace))?;
-        w.add_section(SEC_STATS, &codec::encode_cluster_stats(&at_ckpt))?;
+        w.add_section(SEC_STATS, &codec::encode_cluster_stats(stats))?;
         let bytes = w.finish()?;
         self.wrote_snapshot(bytes);
         span.finish();
@@ -550,15 +547,18 @@ impl<'a> Runner<'a> {
 
     /// Restore the heavy checkpoint and cross-check it: replaying the
     /// merge trace from scratch must reproduce the decoded union–find's
-    /// partition, or the snapshot pair is internally inconsistent.
+    /// partition, or the snapshot pair is internally inconsistent. The
+    /// checkpointed counters replace `stats`, keeping this run's
+    /// partitioning and GST-construction time.
     fn read_heavy(
         &mut self,
         num_ests: usize,
-    ) -> Result<(DisjointSets, MergeTrace, ClusterStats), PaceError> {
+        stats: &mut ClusterStats,
+    ) -> Result<(DisjointSets, MergeTrace), PaceError> {
         let snap = Snapshot::read_file(&self.cluster_path)?;
         let mut clusters = codec::decode_dsu(snap.section(SEC_DSU)?)?;
         let trace = codec::decode_merge_trace(snap.section(SEC_TRACE)?)?;
-        let stats = codec::decode_cluster_stats(snap.section(SEC_STATS)?)?;
+        let ckpt_stats = codec::decode_cluster_stats(snap.section(SEC_STATS)?)?;
         if clusters.as_raw_parts().0.len() != num_ests {
             return Err(PaceError::Persist(format!(
                 "cluster checkpoint covers {} ESTs, run has {num_ests}",
@@ -575,7 +575,11 @@ impl<'a> Runner<'a> {
             ));
         }
         self.replayed_merges += trace.len() as u64;
-        Ok((clusters, trace, stats))
+        let pre = stats.timers;
+        *stats = ckpt_stats;
+        stats.timers.partitioning += pre.partitioning;
+        stats.timers.gst_construction += pre.gst_construction;
+        Ok((clusters, trace))
     }
 
     fn phase_cluster(
@@ -592,23 +596,15 @@ impl<'a> Runner<'a> {
         // Clustering already finished in a previous run: the final heavy
         // checkpoint *is* the result.
         if self.persist.resume && manifest.phase >= Phase::Cluster {
-            let (clusters, trace, ckpt_stats) = self.read_heavy(n)?;
-            let pre = stats.timers;
-            *stats = ckpt_stats;
-            stats.timers.partitioning += pre.partitioning;
-            stats.timers.gst_construction += pre.gst_construction;
+            let restored = self.read_heavy(n, stats)?;
             self.phases_resumed += 1;
-            return Ok((clusters, trace));
+            return Ok(restored);
         }
 
-        let (mut clusters, mut trace, start) = if self.persist.resume {
+        let (clusters, trace, start) = if self.persist.resume {
             let (clusters, trace, start) = match manifest.heavy_ckpt {
                 Some(c) => {
-                    let (clusters, trace, ckpt_stats) = self.read_heavy(n)?;
-                    let pre = stats.timers;
-                    *stats = ckpt_stats;
-                    stats.timers.partitioning += pre.partitioning;
-                    stats.timers.gst_construction += pre.gst_construction;
+                    let (clusters, trace) = self.read_heavy(n, stats)?;
                     (clusters, trace, c)
                 }
                 // Crashed before the first heavy checkpoint: cluster from
@@ -642,9 +638,8 @@ impl<'a> Runner<'a> {
             .packed_alignment
             .then(|| PackedText::from_store(store));
         let mut ctx = AlignContext::new(store, packed.as_ref());
-        let prefiltered_base = stats.pairs_prefiltered;
-        let mut align_timer = Timer::new();
-        let mut batch: Vec<CandidatePair> = Vec::new();
+        let mut judge = Judge::resume(clusters, trace, *stats, self.cfg, self.obs);
+        let align_base = judge.stats.timers.alignment;
 
         for k in start..total {
             let span = self.obs.span(metric::PHASE_SPILL_READ);
@@ -654,64 +649,17 @@ impl<'a> Runner<'a> {
                 subtrees: spill.read_batch(k as usize)?,
             };
             span.finish();
-
-            let span = self.obs.span(metric::PHASE_NODE_SORTING);
-            let mut generator = PairGenerator::new(
-                store,
-                &forest,
-                PairGenConfig {
-                    psi: self.cfg.psi,
-                    order: self.cfg.order,
-                },
-            );
-            stats.timers.node_sorting += span.finish();
-
-            loop {
-                generator.next_batch_into(self.cfg.batchsize, &mut batch);
-                if batch.is_empty() {
-                    break;
-                }
-                for &pair in &batch {
-                    let (i, j) = pair.est_indices();
-                    if self.cfg.skip_clustered_pairs && clusters.same(i, j) {
-                        stats.pairs_skipped += 1;
-                        continue;
-                    }
-                    let outcome = align_timer.time(|| ctx.align(&pair, self.cfg));
-                    stats.pairs_processed += 1;
-                    if outcome.accepted {
-                        stats.pairs_accepted += 1;
-                        if clusters.union(i, j) {
-                            stats.merges += 1;
-                            trace.record(&outcome);
-                            self.obs.emit_with(|| Event::Merge {
-                                t: self.obs.now(),
-                                est_a: i,
-                                est_b: j,
-                                mcs_len: outcome.pair.mcs_len,
-                                score_ratio: outcome.score_ratio,
-                            });
-                        }
-                    }
-                }
-            }
-            stats.pairs_generated += generator.stats().emitted;
-            stats.pairs_prefiltered = prefiltered_base + ctx.pairs_prefiltered();
-            for (&len, &cnt) in generator.emitted_by_mcs_len() {
-                self.obs
-                    .registry()
-                    .observe_n(metric::PAIRS_MCS_LEN, len as u64, cnt);
-            }
+            judge.cluster_forest(&mut ctx, &forest);
 
             // Heavy checkpoint first, then the manifest that refers to
             // it — the manifest on disk never points past real state.
             let done = k + 1;
             if done % self.persist.checkpoint_every == 0 || done == total {
-                self.write_heavy(&clusters, &trace, stats, align_timer.secs())?;
+                self.write_heavy(&judge.clusters, judge.trace(), &judge.stats)?;
                 manifest.heavy_ckpt = Some(done);
             }
             manifest.batches_clustered = done;
-            manifest.pairs_generated = stats.pairs_generated;
+            manifest.pairs_generated = judge.stats.pairs_generated;
             self.save_manifest(manifest)?;
             self.crash_if(CrashPoint::AfterClusterBatch(done))?;
         }
@@ -719,14 +667,17 @@ impl<'a> Runner<'a> {
         // Empty plans (tiny inputs) still need the final heavy state on
         // disk for the Cluster phase to be restorable.
         if manifest.heavy_ckpt != Some(total) {
-            self.write_heavy(&clusters, &trace, stats, align_timer.secs())?;
+            self.write_heavy(&judge.clusters, judge.trace(), &judge.stats)?;
             manifest.heavy_ckpt = Some(total);
         }
 
-        stats.timers.alignment += align_timer.secs();
-        self.obs
-            .registry()
-            .record_phase(metric::PHASE_ALIGNMENT, 0, align_timer.secs());
+        let (clusters, trace, clustered) = judge.into_parts();
+        *stats = clustered;
+        self.obs.registry().record_phase(
+            metric::PHASE_ALIGNMENT,
+            0,
+            stats.timers.alignment - align_base,
+        );
         self.obs
             .registry()
             .add(metric::ALIGN_WS_REUSES, ctx.pairs_handled());

@@ -119,11 +119,6 @@ impl CrossEdges {
         }
     }
 
-    /// Edges pushed since the last drain.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Distinct edges ever pushed.
     pub fn total_unique(&self) -> usize {
         self.seen.len()
@@ -275,7 +270,7 @@ mod tests {
         assert!(!log.push(9, 5), "reversed orientation must dedupe");
         assert_eq!(log.drain(), vec![(5, 9)]);
         assert!(!log.push(5, 9), "dedup memory must survive a drain");
-        assert_eq!(log.pending_len(), 0);
+        assert!(log.drain().is_empty());
         assert_eq!(log.total_unique(), 1);
     }
 

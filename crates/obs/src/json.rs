@@ -2,8 +2,8 @@
 //!
 //! The workspace has no serde (no network access to crates.io), and the
 //! observability layer needs both directions: the run report and event
-//! sinks *write* JSON, and tests plus `MergeTrace::from_jsonl` *read*
-//! it back. This module covers RFC 8259 JSON with two deliberate
+//! sinks *write* JSON, and the trace analyzer and tests *read* it
+//! back. This module covers RFC 8259 JSON with two deliberate
 //! simplifications: numbers are `f64` (exact for integers up to 2^53 —
 //! far beyond any counter here), and `\uXXXX` escapes outside the BMP
 //! must be paired surrogates.
@@ -70,13 +70,6 @@ impl Json {
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }

@@ -79,7 +79,11 @@ pub fn sketch_of(seq: &[u8], params: SketchParams) -> Vec<u64> {
     if seq.len() < k {
         return Vec::new();
     }
-    let mask = if k == 32 { u64::MAX } else { (1u64 << (2 * k)) - 1 };
+    let mask = if k == 32 {
+        u64::MAX
+    } else {
+        (1u64 << (2 * k)) - 1
+    };
     let mut hashes = Vec::with_capacity(seq.len() - k + 1);
     let mut v = 0u64;
     for (i, &b) in seq.iter().enumerate() {
@@ -140,12 +144,6 @@ impl SketchSet {
     pub fn sketch(&self, sid: StrId) -> &[u64] {
         let i = sid.index();
         &self.hashes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-
-    /// Bytes of backing storage used (for memory accounting).
-    pub fn sketch_bytes(&self) -> usize {
-        self.hashes.len() * std::mem::size_of::<u64>()
-            + self.offsets.len() * std::mem::size_of::<u32>()
     }
 
     /// Mash-style Jaccard estimate between two sketched strings: the
@@ -254,7 +252,6 @@ mod tests {
         for sid in store.str_ids() {
             assert_eq!(set.sketch(sid), sketch_of(store.seq(sid), p).as_slice());
         }
-        assert!(set.sketch_bytes() > 0);
     }
 
     #[test]

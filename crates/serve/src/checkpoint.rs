@@ -161,7 +161,7 @@ pub fn save_state(
     w.add_section(SEC_IDS, &codec::encode_string_list(clusterer.ids()))?;
     w.add_section(SEC_DSU, &codec::encode_dsu(clusterer.clusters_dsu()))?;
     w.add_section(SEC_TRACE, &codec::encode_merge_trace(clusterer.trace()))?;
-    w.add_section(SEC_STATS, &codec::encode_cluster_stats(&clusterer.stats))?;
+    w.add_section(SEC_STATS, &codec::encode_cluster_stats(clusterer.stats()))?;
     w.finish()?;
 
     let manifest = ServeManifest {
@@ -321,7 +321,7 @@ mod tests {
         assert_eq!(back.ids(), inc.ids());
         assert_eq!(back.labels(), inc.labels());
         assert_eq!(back.trace(), inc.trace());
-        assert_eq!(back.stats, inc.stats);
+        assert_eq!(back.stats(), inc.stats());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -161,9 +161,9 @@ impl Shared {
             core.ingest_batches,
             core.clusterer.trace().len() as u64,
         );
-        view.pairs_generated = core.clusterer.stats.pairs_generated;
-        view.pairs_processed = core.clusterer.stats.pairs_processed;
-        view.pairs_skipped = core.clusterer.stats.pairs_skipped;
+        view.pairs_generated = core.clusterer.stats().pairs_generated;
+        view.pairs_processed = core.clusterer.stats().pairs_processed;
+        view.pairs_skipped = core.clusterer.stats().pairs_skipped;
         view
     }
 }
@@ -245,12 +245,6 @@ impl ServerHandle {
     /// The socket path clients connect to.
     pub fn socket_path(&self) -> &std::path::Path {
         &self.shared.cfg.socket_path
-    }
-
-    /// Whether the daemon has begun shutting down (via request, signal,
-    /// or [`Self::stop`]).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
     }
 
     /// Stop the daemon (idempotent): close the accept loop, publish a

@@ -248,11 +248,6 @@ impl Snapshot {
         Ok(Snapshot { data, sections })
     }
 
-    /// Names of all sections, in file order.
-    pub fn section_names(&self) -> impl Iterator<Item = &str> {
-        self.sections.iter().map(|(n, _)| n.as_str())
-    }
-
     /// The verified payload of section `name`.
     pub fn section(&self, name: &str) -> Result<&[u8], SnapshotError> {
         self.sections
@@ -260,11 +255,6 @@ impl Snapshot {
             .find(|(n, _)| n == name)
             .map(|(_, r)| &self.data[r.clone()])
             .ok_or_else(|| SnapshotError::MissingSection(name.to_string()))
-    }
-
-    /// Whether a section exists.
-    pub fn has_section(&self, name: &str) -> bool {
-        self.sections.iter().any(|(n, _)| n == name)
     }
 }
 
@@ -311,7 +301,6 @@ mod tests {
             snap.section("gamma").unwrap_err(),
             SnapshotError::MissingSection("gamma".into())
         );
-        assert_eq!(snap.section_names().collect::<Vec<_>>(), ["alpha", "beta"]);
         std::fs::remove_file(&path).unwrap();
     }
 
