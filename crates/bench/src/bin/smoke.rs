@@ -7,8 +7,10 @@
 //! compares against the committed `bench/baseline.json`.
 //!
 //! Outputs:
-//! - `$PACE_METRICS_DIR/smoke.json` — gate document: `phase_min` object
-//!   plus the last rep's full registry report sections.
+//! - `$PACE_METRICS_DIR/smoke.json` — gate document: `phase_min` object,
+//!   the `derived` cross-rep minima of `unattributed` (`total` minus the
+//!   named phases of the critical rank) and `pairgen_first_batch`, plus
+//!   the last rep's full registry report sections.
 //! - `$PACE_BENCH_TRAJECTORY` (default `BENCH_smoke.json`) — a JSON
 //!   array the run appends one trajectory entry to, so successive CI
 //!   runs accumulate a timing history artifact.
@@ -28,14 +30,27 @@ use std::time::Instant;
 const SMOKE_SEED: u64 = 3000;
 /// Ranks for the parallel driver (1 master + 2 slaves).
 const SMOKE_RANKS: usize = 3;
-/// Phases the gate tracks.
-const GATE_PHASES: [&str; 5] = [
+/// The named phases a rank's time is attributed to.
+const NAMED_PHASES: [&str; 5] = [
     metric::PHASE_PARTITIONING,
     metric::PHASE_GST_CONSTRUCTION,
     metric::PHASE_NODE_SORTING,
+    metric::PHASE_PAIR_GENERATION,
     metric::PHASE_ALIGNMENT,
-    metric::PHASE_TOTAL,
 ];
+
+/// Seconds of `total` no named phase explains: `total` minus the named
+/// phases of the critical rank (the rank whose named phases sum highest).
+fn unattributed(snap: &pace_obs::RegistrySnapshot) -> f64 {
+    let mut per_rank: BTreeMap<usize, f64> = BTreeMap::new();
+    for phase in NAMED_PHASES {
+        for &(rank, secs) in snap.phase_series.get(phase).into_iter().flatten() {
+            *per_rank.entry(rank).or_default() += secs;
+        }
+    }
+    let critical = per_rank.values().copied().fold(0.0, f64::max);
+    snap.phases.get(metric::PHASE_TOTAL).map_or(0.0, |a| a.max) - critical
+}
 
 /// The recommended opt-in sketch-prefilter threshold (see
 /// EXPERIMENTS.md and the pace-quality recall harness).
@@ -143,6 +158,7 @@ fn main() {
     };
 
     let mut phase_min: BTreeMap<String, f64> = BTreeMap::new();
+    let mut derived: BTreeMap<String, f64> = BTreeMap::new();
     let mut last: Option<(Obs, pace_cluster::ClusterResult)> = None;
     for rep in 1..=reps {
         let obs = Obs::noop();
@@ -150,26 +166,40 @@ fn main() {
         let snap = obs.registry().snapshot();
         let crit = |name: &str| snap.phases.get(name).map_or(0.0, |a| a.max);
         let (myers_s, sketch_s) = micro_kernels(&store, &micro_pairs);
+        let unattributed_s = unattributed(&snap);
+        let first_batch_s = snap
+            .gauges
+            .get(metric::PAIRGEN_FIRST_BATCH_SECS)
+            .copied()
+            .unwrap_or(0.0);
         println!(
             "rep {rep}: partitioning {:.4}s, gst {:.4}s, node_sorting {:.4}s, \
-             alignment {:.4}s, total {:.4}s, myers_kernel {myers_s:.4}s, \
-             sketch_prefilter {sketch_s:.4}s",
+             pair_generation {:.4}s, alignment {:.4}s, total {:.4}s, \
+             unattributed {unattributed_s:.4}s, first batch {first_batch_s:.4}s, \
+             myers_kernel {myers_s:.4}s, sketch_prefilter {sketch_s:.4}s",
             crit(metric::PHASE_PARTITIONING),
             crit(metric::PHASE_GST_CONSTRUCTION),
             crit(metric::PHASE_NODE_SORTING),
+            crit(metric::PHASE_PAIR_GENERATION),
             crit(metric::PHASE_ALIGNMENT),
             crit(metric::PHASE_TOTAL),
         );
-        for (phase, t) in GATE_PHASES
+        let keep_min = |table: &mut BTreeMap<String, f64>, key: &str, t: f64| {
+            table
+                .entry(key.to_string())
+                .and_modify(|m| *m = m.min(t))
+                .or_insert(t);
+        };
+        for (phase, t) in NAMED_PHASES
             .iter()
+            .chain([&metric::PHASE_TOTAL])
             .map(|&p| (p, crit(p)))
             .chain([("myers_kernel", myers_s), ("sketch_prefilter", sketch_s)])
         {
-            phase_min
-                .entry(phase.to_string())
-                .and_modify(|m| *m = m.min(t))
-                .or_insert(t);
+            keep_min(&mut phase_min, phase, t);
         }
+        keep_min(&mut derived, "unattributed", unattributed_s);
+        keep_min(&mut derived, "pairgen_first_batch", first_batch_s);
         last = Some((obs, r));
     }
     let (obs, r) = last.expect("at least one rep");
@@ -196,8 +226,10 @@ fn main() {
     ];
     let mut doc = pace_obs::report::to_json(&snap, meta);
     let min_obj = Json::from_map(&phase_min);
+    let derived_obj = Json::from_map(&derived);
     if let Json::Obj(entries) = &mut doc {
         entries.push(("phase_min".to_string(), min_obj.clone()));
+        entries.push(("derived".to_string(), derived_obj.clone()));
         entries.push((
             "sketch_prefilter".to_string(),
             Json::obj([
@@ -216,7 +248,7 @@ fn main() {
             Err(e) => eprintln!("[metrics] could not write {}: {e}", path.display()),
         }
     }
-    append_trajectory(&min_obj, &snap, n, reps);
+    append_trajectory(&min_obj, &derived_obj, &snap, n, reps);
 
     // Optional socket-transport rep: same workload, one master process
     // plus real worker processes over the Unix-socket backend. Records
@@ -337,7 +369,13 @@ fn check_trace_off(obs: &Obs, snap: &pace_obs::RegistrySnapshot) {
 
 /// Append one entry to the trajectory file (a JSON array). A missing or
 /// malformed file starts a fresh array; failures never abort the bench.
-fn append_trajectory(phase_min: &Json, snap: &pace_obs::RegistrySnapshot, n: usize, reps: usize) {
+fn append_trajectory(
+    phase_min: &Json,
+    derived: &Json,
+    snap: &pace_obs::RegistrySnapshot,
+    n: usize,
+    reps: usize,
+) {
     let path =
         std::env::var("PACE_BENCH_TRAJECTORY").unwrap_or_else(|_| "BENCH_smoke.json".to_string());
     let mut entries = std::fs::read_to_string(&path)
@@ -361,6 +399,7 @@ fn append_trajectory(phase_min: &Json, snap: &pace_obs::RegistrySnapshot, n: usi
         ("p", Json::Num(SMOKE_RANKS as f64)),
         ("reps", Json::Num(reps as f64)),
         ("phase_min", phase_min.clone()),
+        ("derived", derived.clone()),
         ("counters", counters),
     ]));
     match std::fs::write(&path, Json::Arr(entries).to_line()) {

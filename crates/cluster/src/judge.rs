@@ -163,9 +163,11 @@ impl<U: UnionFind> Judge<U> {
 
     /// Run the demand-driven loop over every pair `forest` generates:
     /// skip, align through `ctx`, fold. Generator setup lands in the
-    /// node-sorting phase, alignment time in `timers.alignment`, and the
-    /// generator's output in `pairs_generated` and the
-    /// [`metric::PAIRS_MCS_LEN`] histogram.
+    /// node-sorting phase, batch generation in the pair-generation phase
+    /// (one duration per forest, rank 0) and the
+    /// [`metric::PAIRGEN_FIRST_BATCH_SECS`] gauge, alignment time in
+    /// `timers.alignment`, and the generator's output in
+    /// `pairs_generated` and the [`metric::PAIRS_MCS_LEN`] histogram.
     pub fn cluster_forest(&mut self, ctx: &mut AlignContext, forest: &LocalForest) {
         let span = self.obs.span(metric::PHASE_NODE_SORTING);
         let mut generator = PairGenerator::new(
@@ -176,18 +178,21 @@ impl<U: UnionFind> Judge<U> {
                 order: self.cfg.order,
             },
         );
-        self.stats.timers.node_sorting += span.finish();
+        let setup = span.finish();
+        self.stats.timers.node_sorting += setup;
 
-        // Alignment runs in many short bursts, so it accumulates on a
-        // Timer. One batch buffer serves the whole forest.
+        // Generation and alignment run in many short bursts, so each
+        // accumulates on a Timer. One batch buffer serves the whole forest.
         let prefiltered = ctx.pairs_prefiltered();
+        let mut gen_timer = Timer::new();
         let mut align_timer = Timer::new();
         let mut batch: Vec<CandidatePair> = Vec::new();
-        loop {
-            generator.next_batch_into(self.cfg.batchsize, &mut batch);
-            if batch.is_empty() {
-                break;
-            }
+        let batchsize = self.cfg.batchsize;
+        gen_timer.time(|| generator.next_batch_into(batchsize, &mut batch));
+        self.obs
+            .registry()
+            .set_gauge_max(metric::PAIRGEN_FIRST_BATCH_SECS, setup + gen_timer.secs());
+        while !batch.is_empty() {
             for pair in &batch {
                 if self.skips(pair) {
                     continue;
@@ -195,11 +200,15 @@ impl<U: UnionFind> Judge<U> {
                 let outcome = align_timer.time(|| ctx.align(pair, &self.cfg));
                 self.fold(&outcome);
             }
+            gen_timer.time(|| generator.next_batch_into(batchsize, &mut batch));
         }
+        self.obs
+            .registry()
+            .record_phase(metric::PHASE_PAIR_GENERATION, 0, gen_timer.secs());
         self.stats.timers.alignment += align_timer.secs();
         self.stats.pairs_prefiltered += ctx.pairs_prefiltered() - prefiltered;
         self.stats.pairs_generated += generator.stats().emitted;
-        for (&len, &n) in generator.emitted_by_mcs_len() {
+        for (len, n) in generator.emitted_by_mcs_len() {
             self.obs
                 .registry()
                 .observe_n(metric::PAIRS_MCS_LEN, len as u64, n);

@@ -75,8 +75,10 @@ struct Session {
 /// rank layout (who the shard masters are) and `spec` the
 /// pair-ownership rule; both must match what the masters were built
 /// with. `packed` is the shared 2-bit view the alignment kernel reads
-/// when `cfg.packed_alignment` built one. Phase timings land in `obs`'s
-/// per-rank series and the generator's MCS-length distribution in the
+/// when `cfg.packed_alignment` built one. Phase timings (pair generation
+/// summed over every `next_batch`) land in `obs`'s per-rank series, the
+/// time to the first batch in [`metric::PAIRGEN_FIRST_BATCH_SECS`], and
+/// the generator's MCS-length distribution in the
 /// [`metric::PAIRS_MCS_LEN`] histogram. The returned summary leaves the
 /// partitioning, GST-construction and injected-fault fields zero: the
 /// caller owns those.
@@ -115,16 +117,19 @@ pub fn run_slave_obs(
     // One closure owns the shutdown bookkeeping so every exit path
     // reports identically (including the abnormal world-teardown ones).
     let finish = |generator: &PairGenerator,
+                  gen_timer: &Timer,
                   alignment: f64,
                   pairbufs: &PairBufs,
                   ctx: &AlignContext|
      -> WorkerSummary {
-        for (&len, &n) in generator.emitted_by_mcs_len() {
+        for (len, n) in generator.emitted_by_mcs_len() {
             obs.registry()
                 .observe_n(metric::PAIRS_MCS_LEN, len as u64, n);
         }
         obs.registry()
             .record_phase(metric::PHASE_NODE_SORTING, rank.rank(), node_sorting);
+        obs.registry()
+            .record_phase(metric::PHASE_PAIR_GENERATION, rank.rank(), gen_timer.secs());
         obs.registry()
             .record_phase(metric::PHASE_ALIGNMENT, rank.rank(), alignment);
         let gen = generator.stats();
@@ -159,9 +164,14 @@ pub fn run_slave_obs(
     // answered without re-aligning anything); portion 2 is aligned
     // right after the reports go out — its results are flushed by each
     // master's first Work (they start owing us a flush).
-    let portion1 = generator.next_batch(cfg.batchsize);
-    let portion2 = generator.next_batch(cfg.batchsize);
-    let portion3 = generator.next_batch(cfg.batchsize);
+    let mut gen_timer = Timer::new();
+    let portion1 = gen_timer.time(|| generator.next_batch(cfg.batchsize));
+    obs.registry().set_gauge_max(
+        metric::PAIRGEN_FIRST_BATCH_SECS,
+        node_sorting + gen_timer.secs(),
+    );
+    let portion2 = gen_timer.time(|| generator.next_batch(cfg.batchsize));
+    let portion3 = gen_timer.time(|| generator.next_batch(cfg.batchsize));
     let exhausted_now = generator.is_exhausted();
     for p in portion1.iter().chain(&portion2) {
         pairbufs.tally(p);
@@ -203,17 +213,20 @@ pub fn run_slave_obs(
         let (from, msg) = 'wait: loop {
             let incoming = match rank.try_recv() {
                 Ok(Some(fm)) => Some(fm),
-                Err(_) => return finish(&generator, alignment, &pairbufs, &ctx),
+                Err(_) => return finish(&generator, &gen_timer, alignment, &pairbufs, &ctx),
                 Ok(None) => {
                     let buffered = pairbufs.buffered();
                     if !generator.is_exhausted() && buffered < cfg.pairbuf_cap {
                         let room = cfg.pairbuf_cap - buffered;
-                        pairbufs.extend(generator.next_batch(IDLE_GEN_CHUNK.min(room)));
+                        let chunk = IDLE_GEN_CHUNK.min(room);
+                        pairbufs.extend(gen_timer.time(|| generator.next_batch(chunk)));
                         None
                     } else {
                         match rank.recv() {
                             Ok(fm) => Some(fm),
-                            Err(_) => return finish(&generator, alignment, &pairbufs, &ctx),
+                            Err(_) => {
+                                return finish(&generator, &gen_timer, alignment, &pairbufs, &ctx)
+                            }
                         }
                     }
                 }
@@ -233,7 +246,7 @@ pub fn run_slave_obs(
         match msg {
             // Global abort: a shard master died; every session that
             // cannot be closed by its owner is closed here.
-            Msg::Abort => return finish(&generator, alignment, &pairbufs, &ctx),
+            Msg::Abort => return finish(&generator, &gen_timer, alignment, &pairbufs, &ctx),
             Msg::Shutdown if from < k => {
                 if !sessions[from].done {
                     sessions[from].done = true;
@@ -257,7 +270,7 @@ pub fn run_slave_obs(
                 // lost, just waiting for their owner's next request.
                 while pairbufs.bufs[m].len() < request && !generator.is_exhausted() {
                     let want = (request - pairbufs.bufs[m].len()).max(IDLE_GEN_CHUNK);
-                    pairbufs.extend(generator.next_batch(want));
+                    pairbufs.extend(gen_timer.time(|| generator.next_batch(want)));
                 }
                 let take = request.min(pairbufs.bufs[m].len());
                 let outgoing: Vec<CandidatePair> = pairbufs.bufs[m].drain(..take).collect();
@@ -290,7 +303,7 @@ pub fn run_slave_obs(
             | Msg::ShardDone { .. } => {}
         }
     }
-    finish(&generator, alignment, &pairbufs, &ctx)
+    finish(&generator, &gen_timer, alignment, &pairbufs, &ctx)
 }
 
 /// `PAIRBUF`, one queue per shard. Every pair the generator emits is

@@ -37,7 +37,8 @@
 //! | `gst.max_depth` | gauge | deepest GST node (string depth) |
 //! | `master.busy_frac` | gauge | fraction of wall time the master worked |
 //! | `pairs.mcs_len` | histogram | generated pairs by maximal-common-substring length |
-//! | `partitioning`, `gst_construction`, `node_sorting`, `alignment`, `total` | phase | per-rank phase timings |
+//! | `pairgen.first_batch_secs` | gauge | generator setup start to first batch in hand (max) |
+//! | `partitioning`, `gst_construction`, `node_sorting`, `pair_generation`, `alignment`, `total` | phase | per-rank phase timings |
 
 pub mod json;
 pub mod metric;

@@ -145,6 +145,12 @@ pub const PHASE_PARTITIONING: &str = "partitioning";
 pub const PHASE_GST_CONSTRUCTION: &str = "gst_construction";
 /// Phase: node collection + string-depth sorting (generator setup).
 pub const PHASE_NODE_SORTING: &str = "node_sorting";
+/// Phase: on-demand pair generation (Algorithm 1), every
+/// `next_batch` call of a rank's generator summed into one duration.
+pub const PHASE_PAIR_GENERATION: &str = "pair_generation";
+/// Gauge: seconds from the start of a generator's setup until its first
+/// batch is in hand (maximum over ranks and forests).
+pub const PAIRGEN_FIRST_BATCH_SECS: &str = "pairgen.first_batch_secs";
 /// Phase: pairwise (anchored banded) alignment.
 pub const PHASE_ALIGNMENT: &str = "alignment";
 /// Phase: one slave work batch through the alignment kernel. Finer

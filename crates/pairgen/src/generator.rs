@@ -8,12 +8,21 @@
 //! and then splice the children's lsets into their own. The generator is
 //! resumable: [`PairGenerator::next_batch`] advances just far enough to
 //! satisfy the request and remembers everything else for the next call.
+//!
+//! A processed node's lsets wait in a recycled slot pool until its parent
+//! consumes them; a flat per-node handle table finds the slot. A leaf
+//! holding a single suffix can emit nothing (a pair needs two strings),
+//! so it is never scheduled: its parent builds the one-entry lset in
+//! place from the leaf label.
 
 use crate::lset::{class_of, Arena, Lsets, NUM_CLASSES};
 use crate::pair::CandidatePair;
-use pace_gst::{LocalForest, NodeIdx};
+use pace_gst::{LocalForest, NodeIdx, Subtree};
 use pace_seq::{SequenceStore, StrId, Strand};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+
+/// Handle-table entry of a node whose lsets are not in the pool.
+const NO_SLOT: u32 = u32::MAX;
 
 /// In which order promising pairs are reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -52,7 +61,8 @@ impl PairGenConfig {
 /// Counters describing a generator's work so far.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GenStats {
-    /// Forest nodes of depth ≥ ψ processed.
+    /// Forest nodes of depth ≥ ψ processed. Single-suffix leaves, which
+    /// emit nothing and are never scheduled, count from the start.
     pub nodes_processed: u64,
     /// Raw pairs produced by the Cartesian products, before any filtering.
     pub raw_pairs: u64,
@@ -69,23 +79,29 @@ pub struct GenStats {
 pub struct PairGenerator<'s> {
     store: &'s SequenceStore,
     forest: &'s LocalForest,
-    psi: u32,
     /// `(subtree index, node index)` in processing order.
     schedule: Vec<(u32, NodeIdx)>,
     /// Next schedule position to process.
     pos: usize,
-    /// Pending lsets per subtree, keyed by node index. Entries are
-    /// inserted when a node is processed and removed when its parent
-    /// consumes them, so the map tracks only the active frontier.
-    pending: Vec<HashMap<NodeIdx, Lsets>>,
+    /// `base[t]`: subtree `t`'s first entry in `slot_of`.
+    base: Vec<usize>,
+    /// Pool slot holding each processed node's pending lsets, indexed by
+    /// `base[t] + v`; [`NO_SLOT`] until the node is processed.
+    slot_of: Vec<u32>,
+    /// The slot pool. A slot returns to `free` when the parent consumes
+    /// it, so the pool tracks only the active frontier.
+    slots: Vec<Lsets>,
+    free: Vec<u32>,
     arena: Arena,
     /// `marker[sid] == mark` ⇔ string seen at the node with id `mark`.
     marker: Vec<u64>,
     mark_ctr: u64,
     buffer: VecDeque<CandidatePair>,
     stats: GenStats,
-    /// Emission counts keyed by MCS length (ψ-tuning diagnostics).
-    emitted_by_len: std::collections::BTreeMap<u32, u64>,
+    /// Emission counts indexed by MCS length (ψ-tuning diagnostics).
+    emitted_by_len: Vec<u64>,
+    /// Scratch: the children's lsets of the internal node in hand.
+    child_lsets: Vec<Lsets>,
 }
 
 impl<'s> PairGenerator<'s> {
@@ -99,27 +115,32 @@ impl<'s> PairGenerator<'s> {
             forest.w
         );
         let schedule = make_schedule(forest, config.psi, config.order);
-        let pending = forest.subtrees.iter().map(|_| HashMap::new()).collect();
-        let total_suffixes = forest.num_suffixes();
+        let mut base = Vec::with_capacity(forest.subtrees.len());
+        let mut nodes = 0usize;
+        for tree in &forest.subtrees {
+            base.push(nodes);
+            nodes += tree.len();
+        }
         PairGenerator {
             store,
             forest,
-            psi: config.psi,
-            schedule,
+            schedule: schedule.nodes,
             pos: 0,
-            pending,
-            arena: Arena::with_capacity(total_suffixes),
+            base,
+            slot_of: vec![NO_SLOT; nodes],
+            slots: Vec::new(),
+            free: Vec::new(),
+            arena: Arena::with_capacity(forest.num_suffixes()),
             marker: vec![0; store.num_strings()],
             mark_ctr: 0,
             buffer: VecDeque::new(),
-            stats: GenStats::default(),
-            emitted_by_len: std::collections::BTreeMap::new(),
+            stats: GenStats {
+                nodes_processed: schedule.single_leaves,
+                ..GenStats::default()
+            },
+            emitted_by_len: vec![0; schedule.max_depth as usize + 1],
+            child_lsets: Vec::new(),
         }
-    }
-
-    /// The ψ threshold this generator was built with.
-    pub fn psi(&self) -> u32 {
-        self.psi
     }
 
     /// Whether every node has been processed and every pair delivered.
@@ -133,18 +154,31 @@ impl<'s> PairGenerator<'s> {
     }
 
     /// How many pairs have been emitted per maximal-common-substring
-    /// length so far — the distribution that informs the choice of ψ
-    /// (pairs just above the threshold are the marginal candidates).
-    pub fn emitted_by_mcs_len(&self) -> &std::collections::BTreeMap<u32, u64> {
-        &self.emitted_by_len
+    /// length so far, as `(len, count)` in ascending length, lengths with
+    /// no emission left out — the distribution that informs the choice
+    /// of ψ (pairs just above the threshold are the marginal candidates).
+    pub fn emitted_by_mcs_len(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        self.emitted_by_len
+            .iter()
+            .enumerate()
+            .filter(|&(_, &n)| n > 0)
+            .map(|(len, &n)| (len as u32, n))
     }
 
-    /// Approximate heap footprint of the generator's own state.
+    /// Approximate heap footprint of the generator's own state: the lset
+    /// arena, marker array, schedule, handle table, slot pool (its
+    /// high-water size), histogram and pair buffer.
     pub fn memory_bytes(&self) -> usize {
+        use std::mem::size_of;
         self.arena.memory_bytes()
-            + self.marker.capacity() * 8
-            + self.schedule.capacity() * 8
-            + self.buffer.capacity() * std::mem::size_of::<CandidatePair>()
+            + self.marker.capacity() * size_of::<u64>()
+            + self.schedule.capacity() * size_of::<(u32, NodeIdx)>()
+            + self.base.capacity() * size_of::<usize>()
+            + self.slot_of.capacity() * size_of::<u32>()
+            + (self.slots.capacity() + self.child_lsets.capacity()) * size_of::<Lsets>()
+            + self.free.capacity() * size_of::<u32>()
+            + self.emitted_by_len.capacity() * size_of::<u64>()
+            + self.buffer.capacity() * size_of::<CandidatePair>()
     }
 
     /// Produce up to `max` promising pairs, advancing the traversal only
@@ -185,79 +219,106 @@ impl<'s> PairGenerator<'s> {
 
     fn process_node(&mut self, t: usize, v: NodeIdx) {
         self.stats.nodes_processed += 1;
-        if self.forest.subtrees[t].is_leaf(v) {
-            self.process_leaf(t, v);
+        let forest = self.forest;
+        let tree = &forest.subtrees[t];
+        let emitted = self.stats.emitted;
+        let lsets = if tree.is_leaf(v) {
+            self.process_leaf(tree, v)
         } else {
-            self.process_internal(t, v);
+            self.process_internal(tree, self.base[t], v)
+        };
+        self.emitted_by_len[tree.depth(v) as usize] += self.stats.emitted - emitted;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = lsets;
+                slot
+            }
+            None => {
+                self.slots.push(lsets);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.slot_of[self.base[t] + v as usize] = slot;
+    }
+
+    /// A fresh node id for the duplicate-elimination marker.
+    fn next_mark(&mut self) -> u64 {
+        self.mark_ctr += 1;
+        self.mark_ctr
+    }
+
+    /// Append the suffix `(sid, off)` to `lsets` under its left-extension
+    /// class, unless its string was already seen under `mark` (one lset
+    /// occurrence per string, paper §3.2).
+    fn push_unseen(&mut self, lsets: &mut Lsets, mark: u64, sid: u32, off: u32) {
+        if self.marker[sid as usize] == mark {
+            return;
         }
+        self.marker[sid as usize] = mark;
+        let class = class_of(self.store.left_char(StrId(sid), off as usize));
+        let e = self.arena.alloc(sid, off);
+        lsets.push(&mut self.arena, class, e);
     }
 
     /// `ProcessLeaf`: build the lsets from the leaf labels, keeping one
     /// occurrence per string, then emit the products of different-class
     /// lsets plus the unordered pairs within `l_λ`.
-    fn process_leaf(&mut self, t: usize, v: NodeIdx) {
-        let tree = &self.forest.subtrees[t];
+    fn process_leaf(&mut self, tree: &Subtree, v: NodeIdx) -> Lsets {
         let depth = tree.depth(v);
-        self.mark_ctr += 1;
-        let mark = self.mark_ctr;
-
+        let mark = self.next_mark();
         let mut lsets = Lsets::new();
         for suf in tree.leaf_suffixes(v) {
-            if self.marker[suf.sid as usize] == mark {
-                continue; // one lset occurrence per string (paper §3.2)
-            }
-            self.marker[suf.sid as usize] = mark;
-            let class = class_of(self.store.left_char(StrId(suf.sid), suf.off as usize));
-            let e = self.arena.alloc(suf.sid, suf.off);
-            lsets.push(&mut self.arena, class, e);
+            self.push_unseen(&mut lsets, mark, suf.sid, suf.off);
         }
 
         // P_v = ⋃ l_ci × l_cj for ci < cj, plus l_λ × l_λ (unordered).
         let arena = &self.arena;
         let buffer = &mut self.buffer;
         let stats = &mut self.stats;
-        let hist = &mut self.emitted_by_len;
         for ci in 0..NUM_CLASSES {
             for cj in (ci + 1)..NUM_CLASSES {
                 for (sid1, off1) in lsets.iter(arena, ci) {
                     for (sid2, off2) in lsets.iter(arena, cj) {
-                        emit(buffer, stats, hist, sid1, off1, sid2, off2, depth);
+                        emit(buffer, stats, sid1, off1, sid2, off2, depth);
                     }
                 }
             }
         }
         // λ × λ: both suffixes are whole strings; the shared prefix is
         // trivially left-maximal at the string boundary.
-        let lambda: Vec<(u32, u32)> = lsets.iter(arena, 0).collect();
-        for i in 0..lambda.len() {
-            for j in (i + 1)..lambda.len() {
-                let (s1, o1) = lambda[i];
-                let (s2, o2) = lambda[j];
-                emit(buffer, stats, hist, s1, o1, s2, o2, depth);
+        let mut lambda = lsets.iter(arena, 0);
+        while let Some((s1, o1)) = lambda.next() {
+            for (s2, o2) in lambda.clone() {
+                emit(buffer, stats, s1, o1, s2, o2, depth);
             }
         }
-
-        self.pending[t].insert(v, lsets);
+        lsets
     }
 
     /// `ProcessInternalNode`: eliminate duplicate strings across the
     /// children's lsets, emit products of different children with
     /// different characters (or both λ), then union the lsets upward.
-    fn process_internal(&mut self, t: usize, v: NodeIdx) {
-        let tree = &self.forest.subtrees[t];
+    /// `base` is the subtree's offset in the handle table.
+    fn process_internal(&mut self, tree: &Subtree, base: usize, v: NodeIdx) -> Lsets {
         let depth = tree.depth(v);
-        let children: Vec<NodeIdx> = tree.children(v).collect();
-        self.mark_ctr += 1;
-        let mark = self.mark_ctr;
+        let mark = self.next_mark();
 
-        // Step 1: take ownership of each child's lsets and strip strings
-        // already seen at this node (shared mark ⇒ cross-child dedup).
-        let mut child_lsets: Vec<Lsets> = Vec::with_capacity(children.len());
-        for &u in &children {
-            let mut ls = self.pending[t]
-                .remove(&u)
-                .expect("child must be processed before its parent");
-            ls.dedup_against(&mut self.arena, &mut self.marker, mark);
+        // Step 1: take each child's lsets out of the pool and strip
+        // strings already seen at this node (shared mark ⇒ cross-child
+        // dedup). A single-suffix leaf was never scheduled: its one-entry
+        // lset is built here from the leaf label.
+        let mut child_lsets = std::mem::take(&mut self.child_lsets);
+        for u in tree.children(v) {
+            let mut ls = Lsets::new();
+            if let [suf] = tree.leaf_suffixes(u) {
+                self.push_unseen(&mut ls, mark, suf.sid, suf.off);
+            } else {
+                let slot = self.slot_of[base + u as usize];
+                debug_assert_ne!(slot, NO_SLOT, "child must be processed before its parent");
+                ls = self.slots[slot as usize];
+                self.free.push(slot);
+                ls.dedup_against(&mut self.arena, &mut self.marker, mark);
+            }
             child_lsets.push(ls);
         }
 
@@ -265,7 +326,6 @@ impl<'s> PairGenerator<'s> {
         let arena = &self.arena;
         let buffer = &mut self.buffer;
         let stats = &mut self.stats;
-        let hist = &mut self.emitted_by_len;
         for k in 0..child_lsets.len() {
             for l in (k + 1)..child_lsets.len() {
                 for ci in 0..NUM_CLASSES {
@@ -275,7 +335,7 @@ impl<'s> PairGenerator<'s> {
                         }
                         for (sid1, off1) in child_lsets[k].iter(arena, ci) {
                             for (sid2, off2) in child_lsets[l].iter(arena, cj) {
-                                emit(buffer, stats, hist, sid1, off1, sid2, off2, depth);
+                                emit(buffer, stats, sid1, off1, sid2, off2, depth);
                             }
                         }
                     }
@@ -285,92 +345,101 @@ impl<'s> PairGenerator<'s> {
 
         // Step 3: l_c(v) = ⋃_k l_c(u_k) — O(|Σ|²) splices, children freed.
         let mut merged = Lsets::new();
-        for ls in child_lsets {
+        for ls in child_lsets.drain(..) {
             merged.append(&mut self.arena, ls);
         }
-        self.pending[t].insert(v, merged);
+        self.child_lsets = child_lsets;
+        merged
     }
+}
+
+/// The node-processing order plus what building it learned.
+struct Schedule {
+    /// `(subtree index, node index)` in processing order.
+    nodes: Vec<(u32, NodeIdx)>,
+    /// Single-suffix leaves of depth ≥ ψ: settled here, never scheduled.
+    single_leaves: u64,
+    /// Deepest scheduled node (0 when none).
+    max_depth: u32,
 }
 
 /// Build the node-processing schedule without a comparison sort.
 ///
+/// Every node of depth ≥ ψ is scheduled except single-suffix leaves,
+/// which emit nothing and whose parent reads their label directly.
 /// String-depths are bounded by the longest stored string, so the
-/// decreasing-MCS order is a bucket sort over `max_depth − ψ + 1` depth
-/// buckets — O(nodes + depth range) instead of O(nodes · log nodes).
-/// The fill order reproduces the old comparator's
-/// `(Reverse(depth), t, Reverse(v))` key byte-for-byte: buckets are
-/// scanned deepest first, and within a bucket entries arrive in
-/// ascending subtree order with descending node index (the tie-break
-/// that puts equal-depth terminator leaves before their parents, keeping
-/// children ahead of parents everywhere).
-fn make_schedule(forest: &LocalForest, psi: u32, order: PairOrder) -> Vec<(u32, NodeIdx)> {
-    // Pass 1: per-depth histogram of in-scope nodes.
-    let mut max_depth = 0u32;
-    let mut total = 0usize;
+/// decreasing-MCS order is a bucket sort over the depth range —
+/// O(nodes + depth range) instead of O(nodes · log nodes). The fill order
+/// reproduces the old comparator's `(Reverse(depth), t, Reverse(v))` key
+/// byte-for-byte: depths are laid out deepest first, and within a depth
+/// entries arrive in ascending subtree order with descending node index
+/// (the tie-break that puts equal-depth terminator leaves before their
+/// parents, keeping children ahead of parents everywhere). `Arbitrary`
+/// keeps that reverse-DFS fill order but one run for all depths.
+fn make_schedule(forest: &LocalForest, psi: u32, order: PairOrder) -> Schedule {
+    let single_leaf = |tree: &Subtree, v: NodeIdx| tree.leaf_suffixes(v).len() == 1;
+
+    // Pass 1: scheduled nodes per depth.
+    let mut per_depth: Vec<usize> = Vec::new();
+    let mut single_leaves = 0u64;
     for tree in &forest.subtrees {
-        for (_, depth) in tree.node_depths() {
-            if depth >= psi {
-                total += 1;
-                max_depth = max_depth.max(depth);
+        for (v, depth) in tree.node_depths() {
+            if depth < psi {
+                continue;
             }
+            if single_leaf(tree, v) {
+                single_leaves += 1;
+                continue;
+            }
+            let d = depth as usize;
+            if d >= per_depth.len() {
+                per_depth.resize(d + 1, 0);
+            }
+            per_depth[d] += 1;
         }
     }
-    if total == 0 {
-        return Vec::new();
-    }
-    let mut schedule = vec![(0u32, 0 as NodeIdx); total];
-    match order {
-        PairOrder::DecreasingMcs => {
-            // Bucket b holds depth `max_depth − b`, so bucket order is
-            // decreasing depth.
-            let mut offsets = vec![0usize; (max_depth - psi + 2) as usize];
-            for tree in &forest.subtrees {
-                for (_, depth) in tree.node_depths() {
-                    if depth >= psi {
-                        offsets[(max_depth - depth + 1) as usize] += 1;
-                    }
-                }
-            }
-            for b in 1..offsets.len() {
-                offsets[b] += offsets[b - 1];
-            }
-            for (t, tree) in forest.subtrees.iter().enumerate() {
-                for v in (0..tree.len() as NodeIdx).rev() {
-                    let depth = tree.depth(v);
-                    if depth >= psi {
-                        let b = (max_depth - depth) as usize;
-                        schedule[offsets[b]] = (t as u32, v);
-                        offsets[b] += 1;
-                    }
-                }
-            }
-        }
-        PairOrder::Arbitrary => {
-            // Reverse DFS order per subtree still guarantees children
-            // before parents, but imposes no cross-depth order.
-            let mut next = 0usize;
-            for (t, tree) in forest.subtrees.iter().enumerate() {
-                for v in (0..tree.len() as NodeIdx).rev() {
-                    if tree.depth(v) >= psi {
-                        schedule[next] = (t as u32, v);
-                        next += 1;
-                    }
-                }
-            }
-            debug_assert_eq!(next, total);
+    let max_depth = per_depth.len().saturating_sub(1) as u32;
+    let total: usize = per_depth.iter().sum();
+
+    // Next free position per depth; `Arbitrary` shares entry 0.
+    let mut next = vec![0usize; per_depth.len().max(1)];
+    if order == PairOrder::DecreasingMcs {
+        let mut at = 0;
+        for d in (0..per_depth.len()).rev() {
+            next[d] = at;
+            at += per_depth[d];
         }
     }
-    schedule
+
+    // Pass 2: fill.
+    let mut nodes = vec![(0u32, 0 as NodeIdx); total];
+    for (t, tree) in forest.subtrees.iter().enumerate() {
+        for v in (0..tree.len() as NodeIdx).rev() {
+            let depth = tree.depth(v);
+            if depth < psi || single_leaf(tree, v) {
+                continue;
+            }
+            let key = match order {
+                PairOrder::DecreasingMcs => depth as usize,
+                PairOrder::Arbitrary => 0,
+            };
+            nodes[next[key]] = (t as u32, v);
+            next[key] += 1;
+        }
+    }
+    Schedule {
+        nodes,
+        single_leaves,
+        max_depth,
+    }
 }
 
 /// Filter and normalize one raw pair, pushing it to the buffer if it
 /// survives (see [`CandidatePair`] for the normalization rules).
 #[inline]
-#[allow(clippy::too_many_arguments)]
 fn emit(
     buffer: &mut VecDeque<CandidatePair>,
     stats: &mut GenStats,
-    hist: &mut std::collections::BTreeMap<u32, u64>,
     sid1: u32,
     off1: u32,
     sid2: u32,
@@ -393,7 +462,6 @@ fn emit(
         return;
     }
     stats.emitted += 1;
-    *hist.entry(depth).or_insert(0) += 1;
     buffer.push_back(CandidatePair {
         s1,
         s2,
@@ -575,15 +643,15 @@ mod tests {
         let forest = build_sequential(&s, 2);
         let mut g = PairGenerator::new(&s, &forest, PairGenConfig::new(6));
         let pairs = g.generate_all();
-        let hist = g.emitted_by_mcs_len();
+        let hist: BTreeMap<u32, u64> = g.emitted_by_mcs_len().collect();
         let total: u64 = hist.values().sum();
         assert_eq!(total, pairs.len() as u64);
         // Recompute the histogram from the pairs themselves.
-        let mut expect = std::collections::BTreeMap::new();
+        let mut expect = BTreeMap::new();
         for p in &pairs {
             *expect.entry(p.mcs_len).or_insert(0u64) += 1;
         }
-        assert_eq!(hist, &expect);
+        assert_eq!(hist, expect);
         assert!(hist.keys().all(|&len| len >= 6));
     }
 
@@ -653,7 +721,8 @@ mod tests {
         )
     }
 
-    /// The pre-rewrite schedule: comparator sort over the collected nodes.
+    /// The pre-rewrite schedule: comparator sort over the collected
+    /// nodes, single-suffix leaves excluded.
     fn comparator_schedule(
         forest: &pace_gst::LocalForest,
         psi: u32,
@@ -662,7 +731,7 @@ mod tests {
         let mut schedule = Vec::new();
         for (t, tree) in forest.subtrees.iter().enumerate() {
             for (v, depth) in tree.node_depths() {
-                if depth >= psi {
+                if depth >= psi && tree.leaf_suffixes(v).len() != 1 {
                     schedule.push((t as u32, v));
                 }
             }
@@ -681,8 +750,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// The depth-bucket schedule is byte-identical — same `(t, v)`
-        /// sequence — to the old comparator for random forests, in both
-        /// orders and across ψ values.
+        /// sequence — to the old comparator (minus single-suffix leaves)
+        /// for random forests, in both orders and across ψ values.
         #[test]
         fn depth_bucket_schedule_matches_comparator(
             ests in dna_ests(),
@@ -693,20 +762,21 @@ mod tests {
             let forest = build_sequential(&s, w);
             let psi = w as u32 + psi_extra;
             for order in [PairOrder::DecreasingMcs, PairOrder::Arbitrary] {
-                let fast = super::make_schedule(&forest, psi, order);
+                let fast = super::make_schedule(&forest, psi, order).nodes;
                 let reference = comparator_schedule(&forest, psi, order);
                 prop_assert_eq!(&fast, &reference, "order {:?} psi {}", order, psi);
             }
         }
 
-        /// `DecreasingMcs` still processes every child before its parent
-        /// (the invariant `process_internal` relies on when it pops the
-        /// children's pending lsets).
+        /// `DecreasingMcs` still processes every scheduled child before
+        /// its parent (the invariant `process_internal` relies on when it
+        /// takes the children's pending lsets out of the pool); the only
+        /// unscheduled children are single-suffix leaves.
         #[test]
         fn decreasing_mcs_yields_children_before_parents(ests in dna_ests(), w in 1usize..3) {
             let s = SequenceStore::from_ests(&ests).unwrap();
             let forest = build_sequential(&s, w);
-            let schedule = super::make_schedule(&forest, w as u32, PairOrder::DecreasingMcs);
+            let schedule = super::make_schedule(&forest, w as u32, PairOrder::DecreasingMcs).nodes;
             let mut position = std::collections::HashMap::new();
             for (i, &(t, v)) in schedule.iter().enumerate() {
                 position.insert((t, v), i);
@@ -719,7 +789,10 @@ mod tests {
                     for c in tree.children(v) {
                         // In-scope parents have in-scope children (child
                         // depth ≥ parent depth ≥ ψ).
-                        let pc = position[&(t as u32, c)];
+                        let Some(&pc) = position.get(&(t as u32, c)) else {
+                            prop_assert_eq!(tree.leaf_suffixes(c).len(), 1);
+                            continue;
+                        };
                         prop_assert!(
                             pc < pv,
                             "child {} (pos {}) scheduled after parent {} (pos {})",

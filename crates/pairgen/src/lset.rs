@@ -203,7 +203,9 @@ impl Lsets {
     }
 }
 
-/// Iterator over one lset list, yielding `(sid, off)` pairs.
+/// Iterator over one lset list, yielding `(sid, off)` pairs. A clone
+/// resumes from the same position.
+#[derive(Clone)]
 pub struct LsetIter<'a> {
     arena: &'a Arena,
     cur: u32,

@@ -4,12 +4,14 @@
 # Compares the smoke bench's cross-rep phase minima (bench_out/smoke.json,
 # written by `target/release/smoke` with PACE_METRICS_DIR set) against the
 # committed reference in bench/baseline.json. Fails when a *gated* phase —
-# alignment, gst_construction, node_sorting, myers_kernel or
-# sketch_prefilter, the phases and kernels this code path owns —
+# alignment, gst_construction, node_sorting, pair_generation, myers_kernel
+# or sketch_prefilter, the phases and kernels this code path owns —
 # regresses by more than the tolerance (default 25%). The other
 # phases and the total
 # are reported for context but never fail the gate: on shared CI runners
-# their noise swamps any signal.
+# their noise swamps any signal. The smoke report's derived `unattributed`
+# seconds (`total` minus the named phases of the critical rank) and
+# time to the first generated batch are echoed, never gated.
 #
 # The gate statistic is a min-over-reps, which is robust to transient load
 # spikes but still machine-relative: the committed baseline is only
@@ -93,6 +95,7 @@ GATED = (
     "alignment",
     "gst_construction",
     "node_sorting",
+    "pair_generation",
     "myers_kernel",
     "sketch_prefilter",
 )
@@ -133,6 +136,19 @@ for phase in sorted(set(reference) | set(current)):
             f"({ratio:.2f}x > {1.0 + tolerance:.2f}x allowed)"
         )
     print(f"{phase:<18} {ref:>9.4f}s {cur:>9.4f}s {ratio:>6.2f}x  {flag}{verdict}")
+
+# Echo how much of the total the named phases leave unexplained
+# (reported, never gated): `total` minus the named phases of the
+# critical rank, with the time to the first generated batch beside it.
+derived = smoke.get("derived", {})
+if "unattributed" in derived:
+    total = current.get("total", 0.0)
+    share = derived["unattributed"] / total if total > 0 else float("nan")
+    print(
+        f"bench_gate: unattributed {derived['unattributed']:.4f}s of total "
+        f"{total:.4f}s ({share:.0%}); pair generation first batch "
+        f"{derived.get('pairgen_first_batch', float('nan')):.4f}s (report-only)"
+    )
 
 # Echo the per-batch alignment latency quantiles (reported, never
 # gated): the registry's log-bucket estimates, so tail latency shows up

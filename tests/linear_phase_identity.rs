@@ -10,7 +10,7 @@
 
 use pace::cluster::{cluster_parallel, cluster_sequential, ClusterConfig};
 use pace::gst::build_sequential;
-use pace::pairgen::{PairGenConfig, PairGenerator};
+use pace::pairgen::{GenStats, PairGenConfig, PairGenerator};
 use pace::{SequenceStore, SimConfig};
 
 /// Pinned seeds; chosen to overlap the CI fault-matrix seeds.
@@ -64,6 +64,21 @@ fn pair_stream_fingerprint(store: &SequenceStore, psi: u32) -> u64 {
         }
     }
     h.finish()
+}
+
+/// Final generator counters plus an order-sensitive fingerprint of the
+/// MCS-length histogram (`(len, count)` in ascending length): pins the
+/// node accounting and the per-depth emission tally, not only the stream.
+fn generator_outcome(store: &SequenceStore, psi: u32) -> (GenStats, u64) {
+    let forest = build_sequential(store, 8);
+    let mut g = PairGenerator::new(store, &forest, PairGenConfig::new(psi));
+    while !g.next_batch(512).is_empty() {}
+    let mut h = Fnv::new();
+    for (len, n) in g.emitted_by_mcs_len() {
+        h.push(len as u64);
+        h.push(n);
+    }
+    (g.stats(), h.finish())
 }
 
 /// Fingerprint of the DFS node arrays of every subtree, order included.
@@ -155,6 +170,57 @@ fn partitions_match_pre_rewrite_fingerprints() {
             partition_fingerprint(&par.labels),
             got,
             "parallel partition diverged from sequential (seed {seed})"
+        );
+    }
+}
+
+#[test]
+fn generator_stats_and_mcs_histogram_match_pins() {
+    // Captured from the hash-map generator at the parent commit, before
+    // single-suffix leaves left the schedule: `nodes_processed` must
+    // still count them.
+    const PINNED: [(GenStats, u64); 3] = [
+        (
+            GenStats {
+                nodes_processed: 250_859,
+                raw_pairs: 12_224,
+                discarded_self: 0,
+                discarded_mirror: 6_112,
+                emitted: 6_112,
+            },
+            0xba633d2902a9cc16,
+        ),
+        (
+            GenStats {
+                nodes_processed: 255_587,
+                raw_pairs: 12_032,
+                discarded_self: 0,
+                discarded_mirror: 6_016,
+                emitted: 6_016,
+            },
+            0x6d9808f80bece6ad,
+        ),
+        (
+            GenStats {
+                nodes_processed: 234_299,
+                raw_pairs: 10_716,
+                discarded_self: 0,
+                discarded_mirror: 5_358,
+                emitted: 5_358,
+            },
+            0xc1c8125eb79c7ea9,
+        ),
+    ];
+    for (seed, (expect_stats, expect_hist)) in SEEDS.into_iter().zip(PINNED) {
+        let store = dataset(160, seed);
+        let (got_stats, got_hist) = generator_outcome(&store, 20);
+        assert_eq!(
+            got_stats, expect_stats,
+            "generator counters diverged (seed {seed})"
+        );
+        assert_eq!(
+            got_hist, expect_hist,
+            "MCS-length histogram diverged (seed {seed}): got {got_hist:#018x}"
         );
     }
 }

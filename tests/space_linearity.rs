@@ -1,8 +1,9 @@
 //! Empirical check of the paper's headline claim: total space stays
 //! **linear in the input size**. The suffix-tree forest, the generator's
-//! lset arena/marker state, and the sequence store are all measured at
-//! two input sizes; their per-base footprint must not grow with `n`
-//! (within allocator slack). The baseline's materialized pair list, by
+//! state (lset arena, marker, handle table, slot pool), and the sequence
+//! store are all measured at two input sizes; their per-base footprint
+//! must not grow with `n` (within allocator slack), and the generator's
+//! peak stays within a constant per forest node and suffix. The baseline's materialized pair list, by
 //! contrast, must grow superlinearly per EST — that contrast is Table 1's
 //! memory story.
 
@@ -106,4 +107,32 @@ fn generator_high_water_mark_is_insensitive_to_batch_size() {
         (huge as f64) < 1.5 * tiny as f64 && (tiny as f64) < 1.5 * huge as f64,
         "batch size changed the memory profile: {tiny} vs {huge}"
     );
+}
+
+/// Ceiling on the generator's bytes per forest node plus suffix: a u32
+/// handle and at most one schedule entry per node, one lset-arena entry
+/// per suffix, and the slot pool, which holds only the unconsumed
+/// frontier. About 12 are measured at both sizes below.
+const GENERATOR_BYTES_PER_ITEM: usize = 16;
+
+#[test]
+fn generator_peak_bytes_are_linear_in_forest_size() {
+    // The paper's linear-space claim for Algorithm 1, measured: the
+    // generator's high-water mark over a full drain is bounded by a
+    // constant times (nodes + suffixes), at two input sizes.
+    for (n, seed) in [(150, 606), (600, 607)] {
+        let store = SequenceStore::from_ests(&dataset(n, seed)).unwrap();
+        let forest = pace::gst::build_sequential(&store, 8);
+        let mut g = PairGenerator::new(&store, &forest, PairGenConfig::new(20));
+        let mut peak = g.memory_bytes();
+        while !g.next_batch(64).is_empty() {
+            peak = peak.max(g.memory_bytes());
+        }
+        let items = forest.num_nodes() + forest.num_suffixes();
+        assert!(
+            peak <= GENERATOR_BYTES_PER_ITEM * items,
+            "n = {n}: generator peak {peak} B over {items} nodes + suffixes \
+             exceeds {GENERATOR_BYTES_PER_ITEM} B each"
+        );
+    }
 }
