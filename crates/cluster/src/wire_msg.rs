@@ -1,26 +1,24 @@
-//! Wire encoding of the protocol messages for the socket transport.
+//! Wire encodings of pace-cluster's types.
 //!
 //! [`Msg`] implements [`Wire`] so a `Rank<Msg>` can run over
-//! `UdsHub`/`UdsEndpoint`. `CandidatePair` and `PairOutcome` live in
-//! other crates, so their codecs are free functions here rather than
-//! trait impls (the orphan rule). Layouts follow the crate convention:
-//! little-endian, `u32` length prefixes, floats as IEEE-754 bits.
+//! `UdsHub`/`UdsEndpoint`. [`MergeRecord`], [`PairOutcome`] and the
+//! run counters get one impl each, which the socket messages and the
+//! snapshot sections of `pace-store` share. `CandidatePair` lives in
+//! another crate, so its codec is a free function pair here rather
+//! than a trait impl (the orphan rule). Layouts follow the `pace-wire`
+//! convention: little-endian, `u32` length prefixes, floats as
+//! IEEE-754 bits.
 
 use crate::align_task::PairOutcome;
 use crate::messages::{Msg, ShardReport, WorkerSummary};
+use crate::stats::{ClusterStats, FaultStats, PhaseTimers};
 use crate::trace::MergeRecord;
-use pace_mpisim::wire::{Wire, WireError, WireReader};
 use pace_pairgen::CandidatePair;
 use pace_seq::StrId;
+use pace_wire::{encode_seq, wire_struct, Wire, WireError, WireReader};
 
 /// Bytes of one encoded [`CandidatePair`]: five `u32` fields.
 const PAIR_BYTES: usize = 20;
-/// Bytes of one encoded [`PairOutcome`]: pair + bool + f64 bits.
-const OUTCOME_BYTES: usize = PAIR_BYTES + 1 + 8;
-/// Bytes of one encoded [`MergeRecord`]: two `u64` ids + `u32` + f64 bits.
-const RECORD_BYTES: usize = 8 + 8 + 4 + 8;
-/// Bytes of one encoded cross edge: two `u32` ids.
-const EDGE_BYTES: usize = 8;
 
 const TAG_REPORT: u8 = 0;
 const TAG_WORK: u8 = 1;
@@ -48,201 +46,103 @@ fn decode_pair(r: &mut WireReader<'_>) -> Result<CandidatePair, WireError> {
     })
 }
 
-fn encode_u64s(v: &[u64], out: &mut Vec<u8>) {
-    let n = u32::try_from(v.len()).expect("u64 vector too long for wire format");
-    n.encode(out);
-    for x in v {
-        x.encode(out);
+impl Wire for PairOutcome {
+    /// Pair + bool + f64 bits.
+    const MIN_BYTES: usize = PAIR_BYTES + 1 + 8;
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_pair(&self.pair, out);
+        self.accepted.encode(out);
+        self.score_ratio.encode(out);
     }
-}
 
-fn decode_u64s(r: &mut WireReader<'_>) -> Result<Vec<u64>, WireError> {
-    let n = r.len_prefix(8)?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(r.u64()?);
-    }
-    Ok(v)
-}
-
-fn encode_pairs(pairs: &[CandidatePair], out: &mut Vec<u8>) {
-    let n = u32::try_from(pairs.len()).expect("pair batch too long for wire format");
-    n.encode(out);
-    for p in pairs {
-        encode_pair(p, out);
-    }
-}
-
-fn decode_pairs(r: &mut WireReader<'_>) -> Result<Vec<CandidatePair>, WireError> {
-    let n = r.len_prefix(PAIR_BYTES)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(decode_pair(r)?);
-    }
-    Ok(out)
-}
-
-fn encode_outcome(o: &PairOutcome, out: &mut Vec<u8>) {
-    encode_pair(&o.pair, out);
-    o.accepted.encode(out);
-    o.score_ratio.encode(out);
-}
-
-fn decode_outcome(r: &mut WireReader<'_>) -> Result<PairOutcome, WireError> {
-    Ok(PairOutcome {
-        pair: decode_pair(r)?,
-        accepted: bool::decode(r)?,
-        score_ratio: f64::decode(r)?,
-    })
-}
-
-fn encode_outcomes(results: &[PairOutcome], out: &mut Vec<u8>) {
-    let n = u32::try_from(results.len()).expect("result batch too long for wire format");
-    n.encode(out);
-    for o in results {
-        encode_outcome(o, out);
-    }
-}
-
-fn decode_outcomes(r: &mut WireReader<'_>) -> Result<Vec<PairOutcome>, WireError> {
-    let n = r.len_prefix(OUTCOME_BYTES)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(decode_outcome(r)?);
-    }
-    Ok(out)
-}
-
-fn encode_records(records: &[MergeRecord], out: &mut Vec<u8>) {
-    let n = u32::try_from(records.len()).expect("merge trace too long for wire format");
-    n.encode(out);
-    for rec in records {
-        rec.est_a.encode(out);
-        rec.est_b.encode(out);
-        rec.mcs_len.encode(out);
-        rec.score_ratio.encode(out);
-    }
-}
-
-fn decode_records(r: &mut WireReader<'_>) -> Result<Vec<MergeRecord>, WireError> {
-    let n = r.len_prefix(RECORD_BYTES)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(MergeRecord {
-            est_a: usize::decode(r)?,
-            est_b: usize::decode(r)?,
-            mcs_len: u32::decode(r)?,
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(PairOutcome {
+            pair: decode_pair(r)?,
+            accepted: bool::decode(r)?,
             score_ratio: f64::decode(r)?,
-        });
-    }
-    Ok(out)
-}
-
-fn encode_edges(edges: &[(u32, u32)], out: &mut Vec<u8>) {
-    let n = u32::try_from(edges.len()).expect("cross-edge batch too long for wire format");
-    n.encode(out);
-    for &(a, b) in edges {
-        a.encode(out);
-        b.encode(out);
-    }
-}
-
-fn decode_edges(r: &mut WireReader<'_>) -> Result<Vec<(u32, u32)>, WireError> {
-    let n = r.len_prefix(EDGE_BYTES)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push((r.u32()?, r.u32()?));
-    }
-    Ok(out)
-}
-
-impl Wire for ShardReport {
-    fn encode(&self, out: &mut Vec<u8>) {
-        encode_records(&self.records, out);
-        self.pairs_received.encode(out);
-        self.pairs_processed.encode(out);
-        self.pairs_accepted.encode(out);
-        self.pairs_skipped.encode(out);
-        self.merges.encode(out);
-        self.cross_edges.encode(out);
-        self.epochs.encode(out);
-        self.retries.encode(out);
-        self.duplicate_reports.encode(out);
-        self.dead_slaves.encode(out);
-        self.reassigned_pairs.encode(out);
-        self.abandoned_pairs.encode(out);
-        self.injected_drops.encode(out);
-        self.injected_delays.encode(out);
-        self.injected_stalls.encode(out);
-        self.busy_frac.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ShardReport {
-            records: decode_records(r)?,
-            pairs_received: u64::decode(r)?,
-            pairs_processed: u64::decode(r)?,
-            pairs_accepted: u64::decode(r)?,
-            pairs_skipped: u64::decode(r)?,
-            merges: u64::decode(r)?,
-            cross_edges: u64::decode(r)?,
-            epochs: u64::decode(r)?,
-            retries: u64::decode(r)?,
-            duplicate_reports: u64::decode(r)?,
-            dead_slaves: u64::decode(r)?,
-            reassigned_pairs: u64::decode(r)?,
-            abandoned_pairs: u64::decode(r)?,
-            injected_drops: u64::decode(r)?,
-            injected_delays: u64::decode(r)?,
-            injected_stalls: u64::decode(r)?,
-            busy_frac: f64::decode(r)?,
         })
     }
 }
 
-impl Wire for WorkerSummary {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.gen_nodes_processed.encode(out);
-        self.gen_raw_pairs.encode(out);
-        self.gen_discarded_self.encode(out);
-        self.gen_discarded_mirror.encode(out);
-        self.gen_emitted.encode(out);
-        self.node_sorting.encode(out);
-        self.alignment.encode(out);
-        self.partitioning.encode(out);
-        self.gst_construction.encode(out);
-        self.unconsumed.encode(out);
-        self.prefiltered.encode(out);
-        self.ws_reuses.encode(out);
-        self.injected_drops.encode(out);
-        self.injected_delays.encode(out);
-        self.injected_stalls.encode(out);
-        encode_u64s(&self.gen_by_owner, out);
-        encode_u64s(&self.unconsumed_by_owner, out);
-    }
+wire_struct!(MergeRecord {
+    est_a: usize,
+    est_b: usize,
+    mcs_len: u32,
+    score_ratio: f64,
+});
 
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(WorkerSummary {
-            gen_nodes_processed: u64::decode(r)?,
-            gen_raw_pairs: u64::decode(r)?,
-            gen_discarded_self: u64::decode(r)?,
-            gen_discarded_mirror: u64::decode(r)?,
-            gen_emitted: u64::decode(r)?,
-            node_sorting: f64::decode(r)?,
-            alignment: f64::decode(r)?,
-            partitioning: f64::decode(r)?,
-            gst_construction: f64::decode(r)?,
-            unconsumed: u64::decode(r)?,
-            prefiltered: u64::decode(r)?,
-            ws_reuses: u64::decode(r)?,
-            injected_drops: u64::decode(r)?,
-            injected_delays: u64::decode(r)?,
-            injected_stalls: u64::decode(r)?,
-            gen_by_owner: decode_u64s(r)?,
-            unconsumed_by_owner: decode_u64s(r)?,
-        })
-    }
-}
+wire_struct!(ShardReport {
+    records: Vec<MergeRecord>,
+    pairs_received: u64,
+    pairs_processed: u64,
+    pairs_accepted: u64,
+    pairs_skipped: u64,
+    merges: u64,
+    cross_edges: u64,
+    epochs: u64,
+    retries: u64,
+    duplicate_reports: u64,
+    dead_slaves: u64,
+    reassigned_pairs: u64,
+    abandoned_pairs: u64,
+    injected_drops: u64,
+    injected_delays: u64,
+    injected_stalls: u64,
+    busy_frac: f64,
+});
+
+wire_struct!(WorkerSummary {
+    gen_nodes_processed: u64,
+    gen_raw_pairs: u64,
+    gen_discarded_self: u64,
+    gen_discarded_mirror: u64,
+    gen_emitted: u64,
+    node_sorting: f64,
+    alignment: f64,
+    partitioning: f64,
+    gst_construction: f64,
+    unconsumed: u64,
+    prefiltered: u64,
+    ws_reuses: u64,
+    injected_drops: u64,
+    injected_delays: u64,
+    injected_stalls: u64,
+    gen_by_owner: Vec<u64>,
+    unconsumed_by_owner: Vec<u64>,
+});
+
+// The run counters a checkpoint snapshot stores (`pace-store`).
+wire_struct!(ClusterStats {
+    pairs_generated: u64,
+    pairs_processed: u64,
+    pairs_accepted: u64,
+    merges: u64,
+    pairs_skipped: u64,
+    pairs_prefiltered: u64,
+    pairs_unconsumed: u64,
+    messages: u64,
+    master_busy_frac: f64,
+    faults: FaultStats,
+    timers: PhaseTimers,
+});
+
+wire_struct!(FaultStats {
+    retries: u64,
+    duplicate_reports: u64,
+    dead_slaves: u64,
+    reassigned_pairs: u64,
+    abandoned_pairs: u64,
+    lost_pairs: u64,
+});
+
+wire_struct!(PhaseTimers {
+    partitioning: f64,
+    gst_construction: f64,
+    node_sorting: f64,
+    alignment: f64,
+    total: f64,
+});
 
 impl Wire for Msg {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -255,8 +155,8 @@ impl Wire for Msg {
             } => {
                 TAG_REPORT.encode(out);
                 seq.encode(out);
-                encode_outcomes(results, out);
-                encode_pairs(pairs, out);
+                results.encode(out);
+                encode_seq(pairs, out, encode_pair);
                 exhausted.encode(out);
             }
             Msg::Work {
@@ -266,7 +166,7 @@ impl Wire for Msg {
             } => {
                 TAG_WORK.encode(out);
                 seq.encode(out);
-                encode_pairs(pairs, out);
+                encode_seq(pairs, out, encode_pair);
                 request.encode(out);
             }
             Msg::Shutdown => TAG_SHUTDOWN.encode(out),
@@ -283,7 +183,7 @@ impl Wire for Msg {
                 TAG_CROSS_MERGE.encode(out);
                 shard.encode(out);
                 epoch.encode(out);
-                encode_edges(edges, out);
+                edges.encode(out);
             }
             Msg::ShardDone { shard, report } => {
                 TAG_SHARD_DONE.encode(out);
@@ -297,13 +197,13 @@ impl Wire for Msg {
         match r.u8()? {
             TAG_REPORT => Ok(Msg::Report {
                 seq: u64::decode(r)?,
-                results: decode_outcomes(r)?,
-                pairs: decode_pairs(r)?,
+                results: Vec::decode(r)?,
+                pairs: r.seq(PAIR_BYTES, decode_pair)?,
                 exhausted: bool::decode(r)?,
             }),
             TAG_WORK => Ok(Msg::Work {
                 seq: u64::decode(r)?,
-                pairs: decode_pairs(r)?,
+                pairs: r.seq(PAIR_BYTES, decode_pair)?,
                 request: usize::decode(r)?,
             }),
             TAG_SHUTDOWN => Ok(Msg::Shutdown),
@@ -312,7 +212,7 @@ impl Wire for Msg {
             TAG_CROSS_MERGE => Ok(Msg::CrossMerge {
                 shard: u32::decode(r)?,
                 epoch: u64::decode(r)?,
-                edges: decode_edges(r)?,
+                edges: Vec::decode(r)?,
             }),
             TAG_SHARD_DONE => Ok(Msg::ShardDone {
                 shard: u32::decode(r)?,
@@ -440,6 +340,21 @@ mod tests {
         ]
     }
 
+    /// FNV-1a of an encoding.
+    fn fnv<T: Wire>(v: &T) -> u64 {
+        v.to_bytes().iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The samples' bytes, captured before the codec was shared with the
+    /// snapshot format: socket bytes must not move without a protocol
+    /// version bump.
+    #[test]
+    fn sample_encodings_are_pinned() {
+        assert_eq!(fnv(&sample_msgs()), 0xbd12dad4a7d4d2cf);
+    }
+
     #[test]
     fn all_message_kinds_roundtrip() {
         for msg in sample_msgs() {
@@ -473,6 +388,19 @@ mod tests {
             bytes.push(0);
             assert!(Msg::from_bytes(&bytes).is_err(), "{}", msg.kind());
         }
+    }
+
+    #[test]
+    fn count_bounds_are_the_encoded_element_sizes() {
+        // A list's count is checked against these before any allocation,
+        // so each must equal (not undercut) its element's encoding.
+        let Msg::Report { results, pairs, .. } = &sample_msgs()[0] else {
+            unreachable!()
+        };
+        assert_eq!(results[0].to_bytes().len(), PairOutcome::MIN_BYTES);
+        let mut bytes = Vec::new();
+        encode_pair(&pairs[0], &mut bytes);
+        assert_eq!(bytes.len(), PAIR_BYTES);
     }
 
     #[test]

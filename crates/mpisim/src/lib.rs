@@ -35,8 +35,9 @@
 //! Since PR 7 the runtime is *pluggable*: [`Rank`] delegates delivery
 //! to a [`Transport`] backend. The thread/channel world above remains
 //! the default; [`UdsHub`]/[`UdsEndpoint`] run the same protocol with
-//! one OS process per rank over Unix-domain sockets and the hand-rolled
-//! wire codec in [`wire`].
+//! one OS process per rank over Unix-domain sockets, framed by the
+//! `pace-wire` codec (the transport's own control messages are in
+//! [`wire`]).
 
 mod collectives;
 mod fault;

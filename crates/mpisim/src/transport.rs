@@ -9,7 +9,7 @@
 //!   per rank connected by unbounded crossbeam channels;
 //! - [`UdsHub`](crate::uds::UdsHub) / [`UdsEndpoint`](crate::uds::UdsEndpoint):
 //!   one OS process per rank, star-routed over Unix-domain sockets with
-//!   the length-prefixed checksummed codec in [`crate::wire`].
+//!   the length-prefixed checksummed `pace-wire` frames.
 //!
 //! The trait is deliberately the *narrow* slice of MPI the paper's
 //! software uses (buffered sends, blocking/bounded receives, barrier,

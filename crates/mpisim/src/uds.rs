@@ -26,9 +26,9 @@
 use crate::rank::RecvError;
 use crate::stats::{CommStats, WorldStats};
 use crate::transport::Transport;
-use crate::wire::{read_frame, write_frame, Ctl, Wire, WireReader, WIRE_VERSION};
+use crate::wire::{Ctl, WIRE_VERSION};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use pace_wire::lock_recover;
+use pace_wire::{lock_recover, read_frame, write_frame, Wire, WireReader};
 use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;

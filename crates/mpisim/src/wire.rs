@@ -1,12 +1,7 @@
-//! Wire codec for the socket transport.
-//!
-//! The generic machinery — the [`Wire`] trait, the bounds-checked
-//! [`WireReader`], CRC-32, and the `[len][crc32][payload]` framing —
-//! was extracted into the `pace-wire` crate so other socket protocols
-//! (the `pace-serve` daemon) reuse it instead of duplicating it. This
-//! module re-exports all of it unchanged and keeps only what is
-//! specific to the *transport*: the rendezvous handshake version and
-//! the hub's control messages.
+//! What the socket transport adds on top of the `pace-wire` codec: the
+//! rendezvous handshake version and the hub's control messages. The
+//! codec itself (the [`Wire`] trait, framing, CRC-32) is `pace-wire`'s;
+//! callers import it from there.
 //!
 //! ## Versioning rules
 //!
@@ -17,7 +12,7 @@
 //! at the *end* of a message's encoding and decoding must tolerate
 //! their absence only across a version bump, never silently.
 
-pub use pace_wire::{crc32, read_frame, write_frame, Wire, WireError, WireReader, MAX_FRAME_LEN};
+use pace_wire::{Wire, WireError, WireReader};
 
 /// Wire protocol version exchanged in the rendezvous handshake.
 pub const WIRE_VERSION: u32 = 1;
@@ -128,9 +123,8 @@ mod tests {
         assert_eq!(&back, v);
     }
 
-    #[test]
-    fn ctl_messages_roundtrip() {
-        for ctl in [
+    fn samples() -> Vec<Ctl> {
+        vec![
             Ctl::Hello {
                 version: WIRE_VERSION,
                 rank: 3,
@@ -147,24 +141,33 @@ mod tests {
             Ctl::SumResult { vals: vec![] },
             Ctl::Max { val: 42 },
             Ctl::MaxResult { val: 0 },
-        ] {
+        ]
+    }
+
+    /// FNV-1a of an encoding.
+    fn fnv<T: Wire>(v: &T) -> u64 {
+        v.to_bytes().iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn ctl_messages_roundtrip() {
+        for ctl in samples() {
             roundtrip(&ctl);
         }
+    }
+
+    /// The samples' bytes, captured before the codec was shared with the
+    /// snapshot format: socket bytes must not move without a protocol
+    /// version bump.
+    #[test]
+    fn sample_encodings_are_pinned() {
+        assert_eq!(fnv(&samples()), 0xeb561890e52a7f0d);
     }
 
     #[test]
     fn unknown_ctl_tag_rejected() {
         assert!(Ctl::from_bytes(&[0xFF]).is_err());
-    }
-
-    #[test]
-    fn reexported_framing_is_the_shared_codec() {
-        // The extraction must not change behavior: the re-exported
-        // framing round-trips and checksums exactly as before.
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        let mut cursor = std::io::Cursor::new(buf);
-        assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"hello");
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 }

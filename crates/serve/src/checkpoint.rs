@@ -22,7 +22,7 @@ use pace_cluster::ClusterConfig;
 use pace_core::IncrementalClusterer;
 use pace_obs::json::{self, Json};
 use pace_store::{atomic_write, codec, fingerprint, Snapshot, SnapshotError, SnapshotWriter};
-use std::collections::HashMap;
+use pace_wire::Wire;
 use std::path::Path;
 
 /// Manifest file name inside the checkpoint directory.
@@ -101,47 +101,6 @@ fn config_fp(cfg: &ClusterConfig) -> String {
     fingerprint(&cfg.to_kv_string())
 }
 
-/// Encode the EST sequences as one section: `u64 count`, then per EST a
-/// `u64 len` + raw bytes.
-fn encode_ests(ests: &[Vec<u8>]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&(ests.len() as u64).to_le_bytes());
-    for est in ests {
-        out.extend_from_slice(&(est.len() as u64).to_le_bytes());
-        out.extend_from_slice(est);
-    }
-    out
-}
-
-fn decode_ests(bytes: &[u8]) -> Result<Vec<Vec<u8>>, SnapshotError> {
-    let corrupt = |msg: &str| SnapshotError::Corrupt(format!("ests section: {msg}"));
-    let mut pos = 0usize;
-    let take_u64 = |pos: &mut usize| -> Result<u64, SnapshotError> {
-        let end = pos.checked_add(8).ok_or_else(|| corrupt("overflow"))?;
-        if end > bytes.len() {
-            return Err(corrupt("truncated length"));
-        }
-        let v = u64::from_le_bytes(bytes[*pos..end].try_into().unwrap());
-        *pos = end;
-        Ok(v)
-    };
-    let count = take_u64(&mut pos)? as usize;
-    let mut ests = Vec::with_capacity(count.min(bytes.len() / 8 + 1));
-    for _ in 0..count {
-        let len = take_u64(&mut pos)? as usize;
-        let end = pos.checked_add(len).ok_or_else(|| corrupt("overflow"))?;
-        if end > bytes.len() {
-            return Err(corrupt("truncated sequence"));
-        }
-        ests.push(bytes[pos..end].to_vec());
-        pos = end;
-    }
-    if pos != bytes.len() {
-        return Err(corrupt("trailing bytes"));
-    }
-    Ok(ests)
-}
-
 /// Persist the daemon's fold state. Returns the generation written.
 ///
 /// Write order is snapshot → manifest → delete previous generation, so
@@ -157,7 +116,10 @@ pub fn save_state(
     let generation = previous.as_ref().map_or(0, |m| m.generation + 1);
 
     let mut w = SnapshotWriter::create(snap_path(dir, generation))?;
-    w.add_section(SEC_STORE_ESTS, &encode_ests(clusterer.ests()))?;
+    // One byte run per EST: the layout of `Vec<Vec<u8>>`, without the copy.
+    let mut ests = Vec::new();
+    Vec::<u8>::encode_slice(clusterer.ests(), &mut ests);
+    w.add_section(SEC_STORE_ESTS, &ests)?;
     w.add_section(SEC_IDS, &codec::encode_string_list(clusterer.ids()))?;
     w.add_section(SEC_DSU, &codec::encode_dsu(clusterer.clusters_dsu()))?;
     w.add_section(SEC_TRACE, &codec::encode_merge_trace(clusterer.trace()))?;
@@ -224,7 +186,7 @@ pub fn load_state(
     }
 
     let snap = Snapshot::read_file(snap_path(dir, manifest.generation))?;
-    let ests = decode_ests(snap.section(SEC_STORE_ESTS)?)?;
+    let ests = Vec::<Vec<u8>>::from_bytes(snap.section(SEC_STORE_ESTS)?)?;
     let ids = codec::decode_string_list(snap.section(SEC_IDS)?)?;
     let dsu = codec::decode_dsu(snap.section(SEC_DSU)?)?;
     let trace = codec::decode_merge_trace(snap.section(SEC_TRACE)?)?;
@@ -237,10 +199,10 @@ pub fn load_state(
             trace.len()
         )));
     }
-    // Replay cross-check: the trace must reproduce the partition.
-    let replayed = trace.replay(ests.len());
-    let mut dsu_check = dsu.clone();
-    if canonical(&replayed) != canonical(&dsu_check.labels()) {
+    // Replay cross-check: the trace must reproduce the partition. Both
+    // labellings name a cluster by its smallest member, so equal
+    // partitions give equal label vectors.
+    if trace.replay(ests.len()) != dsu.clone().labels() {
         return Err(SnapshotError::Corrupt(
             "merge-trace replay does not reproduce the checkpointed partition".into(),
         ));
@@ -250,22 +212,6 @@ pub fn load_state(
         IncrementalClusterer::from_parts(cfg.clone(), memory_budget, ests, ids, dsu, trace, stats)
             .map_err(SnapshotError::Corrupt)?;
     Ok(Some((clusterer, manifest.ingest_batches)))
-}
-
-/// First-occurrence canonical form of a labelling, for partition equality.
-fn canonical(labels: &[usize]) -> Vec<usize> {
-    let mut map = HashMap::new();
-    let mut next = 0usize;
-    labels
-        .iter()
-        .map(|&l| {
-            *map.entry(l).or_insert_with(|| {
-                let v = next;
-                next += 1;
-                v
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]

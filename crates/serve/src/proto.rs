@@ -30,7 +30,7 @@
 //! and agree with a one-shot batch run over the same data (the property
 //! `tests/serve_identity.rs` pins down).
 
-use pace_wire::{Wire, WireError, WireReader};
+use pace_wire::{wire_struct, Wire, WireError, WireReader};
 
 /// Serving protocol version, reported in `Pong`.
 pub const PROTO_VERSION: u32 = 1;
@@ -117,6 +117,18 @@ pub struct ServeStats {
     /// Microseconds since this process started serving.
     pub uptime_us: u64,
 }
+
+wire_struct!(ServeStats {
+    num_ests: u64,
+    num_clusters: u64,
+    ingest_batches: u64,
+    trace_len: u64,
+    pairs_generated: u64,
+    pairs_processed: u64,
+    pairs_skipped: u64,
+    queries_served: u64,
+    uptime_us: u64,
+});
 
 const REQ_PING: u8 = 0;
 const REQ_INGEST: u8 = 1;
@@ -230,15 +242,7 @@ impl Wire for Response {
             }
             Response::StatsReply(s) => {
                 out.push(RESP_STATS);
-                s.num_ests.encode(out);
-                s.num_clusters.encode(out);
-                s.ingest_batches.encode(out);
-                s.trace_len.encode(out);
-                s.pairs_generated.encode(out);
-                s.pairs_processed.encode(out);
-                s.pairs_skipped.encode(out);
-                s.queries_served.encode(out);
-                s.uptime_us.encode(out);
+                s.encode(out);
             }
         }
     }
@@ -274,17 +278,7 @@ impl Wire for Response {
                 id: String::decode(r)?,
                 seq: Vec::decode(r)?,
             },
-            RESP_STATS => Response::StatsReply(ServeStats {
-                num_ests: r.u64()?,
-                num_clusters: r.u64()?,
-                ingest_batches: r.u64()?,
-                trace_len: r.u64()?,
-                pairs_generated: r.u64()?,
-                pairs_processed: r.u64()?,
-                pairs_skipped: r.u64()?,
-                queries_served: r.u64()?,
-                uptime_us: r.u64()?,
-            }),
+            RESP_STATS => Response::StatsReply(ServeStats::decode(r)?),
             tag => return Err(WireError(format!("unknown Response tag {tag:#04x}"))),
         })
     }
@@ -298,9 +292,8 @@ mod tests {
         assert_eq!(&T::from_bytes(&v.to_bytes()).expect("decode"), v);
     }
 
-    #[test]
-    fn requests_roundtrip() {
-        for req in [
+    fn requests() -> Vec<Request> {
+        vec![
             Request::Ping,
             Request::Ingest {
                 ids: vec!["a".into(), "est_über".into()],
@@ -313,14 +306,11 @@ mod tests {
             Request::Rep { label: u64::MAX },
             Request::Stats,
             Request::Shutdown,
-        ] {
-            roundtrip(&req);
-        }
+        ]
     }
 
-    #[test]
-    fn responses_roundtrip() {
-        for resp in [
+    fn responses() -> Vec<Response> {
+        vec![
             Response::Ok,
             Response::Err {
                 msg: "no such est".into(),
@@ -361,9 +351,37 @@ mod tests {
                 queries_served: 8,
                 uptime_us: 9,
             }),
-        ] {
+        ]
+    }
+
+    /// FNV-1a of an encoding.
+    fn fnv<T: Wire>(v: &T) -> u64 {
+        v.to_bytes().iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn requests_roundtrip() {
+        for req in requests() {
+            roundtrip(&req);
+        }
+    }
+
+    #[test]
+    fn responses_roundtrip() {
+        for resp in responses() {
             roundtrip(&resp);
         }
+    }
+
+    /// The samples' bytes, captured before the codec was shared with the
+    /// snapshot format: socket bytes must not move without a protocol
+    /// version bump.
+    #[test]
+    fn sample_encodings_are_pinned() {
+        assert_eq!(fnv(&requests()), 0x21b0e0e3cdc8b7c8);
+        assert_eq!(fnv(&responses()), 0x24624ce46bef4fcb);
     }
 
     #[test]

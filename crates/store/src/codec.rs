@@ -1,11 +1,12 @@
 //! Typed codecs: the pipeline's data structures ⇄ snapshot section bytes.
 //!
-//! Every codec is a pure function pair over little-endian buffers. The
-//! encodings are self-delimiting (lengths precede payloads) and every
-//! decoder checks its input exhaustively — short buffers surface as
-//! [`SnapshotError::Truncated`], structural inconsistencies as
-//! [`SnapshotError::Corrupt`] — so feeding a codec arbitrary bytes can
-//! produce an error but never a panic or an out-of-bounds access.
+//! Every section payload is a `pace-wire` encoding (little-endian,
+//! `u32` length prefixes, floats as IEEE-754 bits), so a snapshot and a
+//! socket message lay out a length, a float or a byte run the same
+//! way. Decoding reads through `WireReader`: a short, overlong or
+//! otherwise malformed payload is [`SnapshotError::Corrupt`] naming the
+//! section, never a panic, and no length prefix can reserve more than
+//! the payload could hold.
 //!
 //! Content integrity (bit flips) is the snapshot layer's CRC job; the
 //! decoders here re-validate only the *structural* invariants whose
@@ -13,241 +14,74 @@
 //! `from_raw_parts` constructors in the owning crates).
 
 use crate::error::SnapshotError;
-use pace_cluster::stats::{ClusterStats, FaultStats, PhaseTimers};
+use pace_cluster::stats::ClusterStats;
 use pace_cluster::trace::{MergeRecord, MergeTrace};
 use pace_dsu::DisjointSets;
 use pace_gst::tree::Node;
 use pace_gst::{BucketPartition, Subtree, SuffixRef};
-use pace_seq::{PackedText, SequenceStore};
+use pace_seq::SequenceStore;
+use pace_wire::{encode_seq, Wire, WireError, WireReader};
 
-// ---------------------------------------------------------------------
-// Little-endian buffer primitives.
-// ---------------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, v: &[u8]) {
-    put_u64(out, v.len() as u64);
-    out.extend_from_slice(v);
-}
-
-fn put_u32s(out: &mut Vec<u8>, v: &[u32]) {
-    put_u64(out, v.len() as u64);
-    for &x in v {
-        put_u32(out, x);
-    }
-}
-
-/// Sequential little-endian reader with typed exhaustion errors.
-pub(crate) struct Dec<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    /// Which codec is reading (names the `Truncated` context).
-    context: &'static str,
-}
-
-impl<'a> Dec<'a> {
-    pub(crate) fn new(bytes: &'a [u8], context: &'static str) -> Self {
-        Dec {
-            bytes,
-            pos: 0,
-            context,
-        }
-    }
-
-    fn take(&mut self, len: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self
-            .pos
-            .checked_add(len)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or(SnapshotError::Truncated {
-                context: self.context,
-            })?;
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// A declared element count, sanity-bounded so a corrupt length
-    /// cannot trigger an enormous allocation: `count * elem_size` must
-    /// fit in what's left of the buffer.
-    fn count(&mut self, elem_size: usize) -> Result<usize, SnapshotError> {
-        let n = self.u64()?;
-        let remaining = (self.bytes.len() - self.pos) as u64;
-        if elem_size > 0 && n > remaining / elem_size as u64 {
-            return Err(SnapshotError::Truncated {
-                context: self.context,
-            });
-        }
-        Ok(n as usize)
-    }
-
-    fn byte_vec(&mut self) -> Result<Vec<u8>, SnapshotError> {
-        let n = self.count(1)?;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn u32_vec(&mut self) -> Result<Vec<u32>, SnapshotError> {
-        let n = self.count(4)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u32()?);
-        }
-        Ok(out)
-    }
-
-    fn finish(self) -> Result<(), SnapshotError> {
-        if self.pos != self.bytes.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "{}: {} trailing bytes after decode",
-                self.context,
-                self.bytes.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
-}
-
-fn corrupt(context: &str, msg: String) -> SnapshotError {
+fn corrupt(context: &str, msg: impl std::fmt::Display) -> SnapshotError {
     SnapshotError::Corrupt(format!("{context}: {msg}"))
 }
 
-// ---------------------------------------------------------------------
-// String lists (FASTA ids)
-// ---------------------------------------------------------------------
+/// Decode a whole section payload with `f`; trailing bytes are an error.
+fn section<T>(
+    bytes: &[u8],
+    context: &str,
+    f: impl FnOnce(&mut WireReader<'_>) -> Result<T, WireError>,
+) -> Result<T, SnapshotError> {
+    let mut r = WireReader::new(bytes);
+    f(&mut r)
+        .and_then(|v| r.finish().map(|()| v))
+        .map_err(|e| corrupt(context, e))
+}
 
 /// Encode a list of strings (the per-EST FASTA identifiers).
 pub fn encode_string_list(items: &[String]) -> Vec<u8> {
-    let cap: usize = items.iter().map(|s| s.len() + 8).sum();
-    let mut out = Vec::with_capacity(cap + 8);
-    put_u64(&mut out, items.len() as u64);
-    for s in items {
-        put_bytes(&mut out, s.as_bytes());
-    }
+    let mut out = Vec::with_capacity(4 + items.iter().map(|s| s.len() + 4).sum::<usize>());
+    String::encode_slice(items, &mut out);
     out
 }
 
 /// Decode a list of strings; non-UTF-8 content is [`SnapshotError::Corrupt`].
 pub fn decode_string_list(bytes: &[u8]) -> Result<Vec<String>, SnapshotError> {
-    const CTX: &str = "string list";
-    let mut d = Dec::new(bytes, CTX);
-    let n = d.count(8)?;
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let raw = d.byte_vec()?;
-        out.push(
-            String::from_utf8(raw).map_err(|_| corrupt(CTX, format!("item {i} is not UTF-8")))?,
-        );
-    }
-    d.finish()?;
-    Ok(out)
+    section(bytes, "string list", Vec::decode)
 }
-
-// ---------------------------------------------------------------------
-// SequenceStore
-// ---------------------------------------------------------------------
 
 /// Encode a [`SequenceStore`] (text + offset table).
 pub fn encode_sequence_store(store: &SequenceStore) -> Vec<u8> {
     let (text, offsets) = store.as_raw_parts();
-    let mut out = Vec::with_capacity(text.len() + offsets.len() * 4 + 16);
-    put_bytes(&mut out, text);
-    put_u32s(&mut out, offsets);
+    let mut out = Vec::with_capacity(8 + text.len() + offsets.len() * 4);
+    u8::encode_slice(text, &mut out);
+    u32::encode_slice(offsets, &mut out);
     out
 }
 
 /// Decode a [`SequenceStore`], re-validating its structural invariants
 /// and that the text is pure uppercase DNA.
 pub fn decode_sequence_store(bytes: &[u8]) -> Result<SequenceStore, SnapshotError> {
-    let mut d = Dec::new(bytes, "sequence store");
-    let text = d.byte_vec()?;
-    let offsets = d.u32_vec()?;
-    d.finish()?;
-    SequenceStore::from_raw_parts(text, offsets)
-        .map_err(|e| corrupt("sequence store", e.to_string()))
+    let (text, offsets) = section(bytes, "sequence store", <(Vec<u8>, Vec<u32>)>::decode)?;
+    SequenceStore::from_raw_parts(text, offsets).map_err(|e| corrupt("sequence store", e))
 }
-
-// ---------------------------------------------------------------------
-// PackedText
-// ---------------------------------------------------------------------
-
-/// Encode a [`PackedText`] (2-bit words + offset table).
-pub fn encode_packed_text(packed: &PackedText) -> Vec<u8> {
-    let (words, offsets) = packed.as_raw_parts();
-    let mut out = Vec::with_capacity(words.len() + offsets.len() * 4 + 16);
-    put_bytes(&mut out, words);
-    put_u32s(&mut out, offsets);
-    out
-}
-
-/// Decode a [`PackedText`].
-pub fn decode_packed_text(bytes: &[u8]) -> Result<PackedText, SnapshotError> {
-    let mut d = Dec::new(bytes, "packed text");
-    let words = d.byte_vec()?;
-    let offsets = d.u32_vec()?;
-    d.finish()?;
-    PackedText::from_raw_parts(words, offsets).map_err(|e| corrupt("packed text", e))
-}
-
-// ---------------------------------------------------------------------
-// BucketPartition
-// ---------------------------------------------------------------------
 
 /// Encode a [`BucketPartition`] (owner + count tables).
 pub fn encode_bucket_partition(part: &BucketPartition) -> Vec<u8> {
-    let mut out = Vec::with_capacity(part.owner.len() * 10 + 32);
-    put_u32(&mut out, part.w as u32);
-    put_u32(&mut out, part.num_ranks as u32);
-    put_u64(&mut out, part.owner.len() as u64);
-    for &o in &part.owner {
-        out.extend_from_slice(&o.to_le_bytes());
-    }
-    put_u64(&mut out, part.counts.len() as u64);
-    for &c in &part.counts {
-        put_u64(&mut out, c);
-    }
+    let mut out = Vec::with_capacity(16 + part.owner.len() * 2 + part.counts.len() * 8);
+    (part.w as u32).encode(&mut out);
+    (part.num_ranks as u32).encode(&mut out);
+    part.owner.encode(&mut out);
+    part.counts.encode(&mut out);
     out
 }
 
 /// Decode a [`BucketPartition`], checking table sizes and owner ranges.
 pub fn decode_bucket_partition(bytes: &[u8]) -> Result<BucketPartition, SnapshotError> {
     const CTX: &str = "bucket partition";
-    let mut d = Dec::new(bytes, CTX);
-    let w = d.u32()? as usize;
-    let num_ranks = d.u32()? as usize;
-    let n_owner = d.count(2)?;
-    let mut owner = Vec::with_capacity(n_owner);
-    for _ in 0..n_owner {
-        owner.push(u16::from_le_bytes(d.take(2)?.try_into().unwrap()));
-    }
-    let n_counts = d.count(8)?;
-    let mut counts = Vec::with_capacity(n_counts);
-    for _ in 0..n_counts {
-        counts.push(d.u64()?);
-    }
-    d.finish()?;
+    let (w, num_ranks, owner, counts) =
+        section(bytes, CTX, <(u32, u32, Vec<u16>, Vec<u64>)>::decode)?;
+    let (w, num_ranks) = (w as usize, num_ranks as usize);
 
     if !(1..=12).contains(&w) {
         return Err(corrupt(CTX, format!("window w = {w} out of 1..=12")));
@@ -287,65 +121,45 @@ pub fn decode_bucket_partition(bytes: &[u8]) -> Result<BucketPartition, Snapshot
     })
 }
 
-// ---------------------------------------------------------------------
-// Subtrees
-// ---------------------------------------------------------------------
-
-fn put_subtree(out: &mut Vec<u8>, tree: &Subtree) {
-    put_u32(out, tree.bucket);
-    put_u64(out, tree.nodes().len() as u64);
-    for n in tree.nodes() {
-        put_u32(out, n.rightmost);
-        put_u32(out, n.depth);
-        put_u32(out, n.suf_start);
-        put_u32(out, n.suf_end);
-    }
-    put_u64(out, tree.suffixes().len() as u64);
-    for s in tree.suffixes() {
-        put_u32(out, s.sid);
-        put_u32(out, s.off);
-    }
+fn put_subtree(tree: &Subtree, out: &mut Vec<u8>) {
+    tree.bucket.encode(out);
+    encode_seq(tree.nodes(), out, |n, out| {
+        (n.rightmost, n.depth, n.suf_start, n.suf_end).encode(out)
+    });
+    encode_seq(tree.suffixes(), out, |s, out| (s.sid, s.off).encode(out));
 }
 
-fn take_subtree(d: &mut Dec<'_>) -> Result<Subtree, SnapshotError> {
-    let bucket = d.u32()?;
-    let n_nodes = d.count(16)?;
-    let mut nodes = Vec::with_capacity(n_nodes);
-    for _ in 0..n_nodes {
-        nodes.push(Node {
-            rightmost: d.u32()?,
-            depth: d.u32()?,
-            suf_start: d.u32()?,
-            suf_end: d.u32()?,
-        });
-    }
-    let n_sufs = d.count(8)?;
-    let mut suffixes = Vec::with_capacity(n_sufs);
-    for _ in 0..n_sufs {
-        suffixes.push(SuffixRef::new(d.u32()?, d.u32()?));
-    }
+fn take_subtree(r: &mut WireReader<'_>) -> Result<Subtree, WireError> {
+    let bucket = r.u32()?;
+    let nodes = r.seq(16, |r| {
+        let (rightmost, depth, suf_start, suf_end) = Wire::decode(r)?;
+        Ok(Node {
+            rightmost,
+            depth,
+            suf_start,
+            suf_end,
+        })
+    })?;
+    let suffixes = r.seq(8, |r| Ok(SuffixRef::new(r.u32()?, r.u32()?)))?;
     // Leaf ranges must stay inside the arena; everything subtler is the
     // builder's concern (Subtree::validate exists for tests).
     for (i, n) in nodes.iter().enumerate() {
         if n.rightmost as usize >= nodes.len() {
-            return Err(corrupt(
-                "subtree",
-                format!(
-                    "node {i}: rightmost {} out of {} nodes",
-                    n.rightmost, n_nodes
-                ),
-            ));
+            return Err(WireError(format!(
+                "subtree node {i}: rightmost {} out of {} nodes",
+                n.rightmost,
+                nodes.len()
+            )));
         }
         if n.rightmost as usize == i
             && (n.suf_start > n.suf_end || n.suf_end as usize > suffixes.len())
         {
-            return Err(corrupt(
-                "subtree",
-                format!(
-                    "leaf {i}: suffix range {}..{} outside arena of {n_sufs}",
-                    n.suf_start, n.suf_end
-                ),
-            ));
+            return Err(WireError(format!(
+                "subtree leaf {i}: suffix range {}..{} outside arena of {}",
+                n.suf_start,
+                n.suf_end,
+                suffixes.len()
+            )));
         }
     }
     Ok(Subtree::from_parts(bucket, nodes, suffixes))
@@ -355,162 +169,58 @@ fn take_subtree(d: &mut Dec<'_>) -> Result<Subtree, SnapshotError> {
 pub fn encode_subtrees(trees: &[Subtree]) -> Vec<u8> {
     let cap: usize = trees
         .iter()
-        .map(|t| 20 + t.nodes().len() * 16 + t.suffixes().len() * 8)
+        .map(|t| 12 + t.nodes().len() * 16 + t.suffixes().len() * 8)
         .sum();
-    let mut out = Vec::with_capacity(cap + 8);
-    put_u64(&mut out, trees.len() as u64);
-    for t in trees {
-        put_subtree(&mut out, t);
-    }
+    let mut out = Vec::with_capacity(cap + 4);
+    encode_seq(trees, &mut out, put_subtree);
     out
 }
 
 /// Decode a batch of subtrees.
 pub fn decode_subtrees(bytes: &[u8]) -> Result<Vec<Subtree>, SnapshotError> {
-    let mut d = Dec::new(bytes, "subtrees");
-    let n = d.count(20)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(take_subtree(&mut d)?);
-    }
-    d.finish()?;
-    Ok(out)
+    // A subtree is at least its bucket id and two empty list prefixes.
+    section(bytes, "subtrees", |r| r.seq(12, take_subtree))
 }
-
-// ---------------------------------------------------------------------
-// DisjointSets
-// ---------------------------------------------------------------------
 
 /// Encode the union–find state.
 pub fn encode_dsu(dsu: &DisjointSets) -> Vec<u8> {
     let (parent, rank, size, num_sets) = dsu.as_raw_parts();
-    let mut out = Vec::with_capacity(parent.len() * 9 + 32);
-    put_u32s(&mut out, parent);
-    put_bytes(&mut out, rank);
-    put_u32s(&mut out, size);
-    put_u64(&mut out, num_sets as u64);
+    let mut out = Vec::with_capacity(parent.len() * 9 + 20);
+    u32::encode_slice(parent, &mut out);
+    u8::encode_slice(rank, &mut out);
+    u32::encode_slice(size, &mut out);
+    num_sets.encode(&mut out);
     out
 }
 
 /// Decode the union–find state, re-validating pointer sanity (range,
 /// acyclicity, root count) via [`DisjointSets::from_raw_parts`].
 pub fn decode_dsu(bytes: &[u8]) -> Result<DisjointSets, SnapshotError> {
-    let mut d = Dec::new(bytes, "union-find");
-    let parent = d.u32_vec()?;
-    let rank = d.byte_vec()?;
-    let size = d.u32_vec()?;
-    let num_sets = d.u64()? as usize;
-    d.finish()?;
+    let (parent, rank, size, num_sets) = section(bytes, "union-find", Wire::decode)?;
     DisjointSets::from_raw_parts(parent, rank, size, num_sets).map_err(|e| corrupt("union-find", e))
 }
 
-// ---------------------------------------------------------------------
-// ClusterStats
-// ---------------------------------------------------------------------
-
 /// Encode the full counter/timer block of a run.
 pub fn encode_cluster_stats(stats: &ClusterStats) -> Vec<u8> {
-    let mut out = Vec::with_capacity(168);
-    for v in [
-        stats.pairs_generated,
-        stats.pairs_processed,
-        stats.pairs_accepted,
-        stats.merges,
-        stats.pairs_skipped,
-        stats.pairs_prefiltered,
-        stats.pairs_unconsumed,
-        stats.messages,
-    ] {
-        put_u64(&mut out, v);
-    }
-    put_f64(&mut out, stats.master_busy_frac);
-    for v in [
-        stats.faults.retries,
-        stats.faults.duplicate_reports,
-        stats.faults.dead_slaves,
-        stats.faults.reassigned_pairs,
-        stats.faults.abandoned_pairs,
-        stats.faults.lost_pairs,
-    ] {
-        put_u64(&mut out, v);
-    }
-    for v in [
-        stats.timers.partitioning,
-        stats.timers.gst_construction,
-        stats.timers.node_sorting,
-        stats.timers.alignment,
-        stats.timers.total,
-    ] {
-        put_f64(&mut out, v);
-    }
-    out
+    stats.to_bytes()
 }
 
 /// Decode a [`ClusterStats`] block.
 pub fn decode_cluster_stats(bytes: &[u8]) -> Result<ClusterStats, SnapshotError> {
-    let mut d = Dec::new(bytes, "cluster stats");
-    let stats = ClusterStats {
-        pairs_generated: d.u64()?,
-        pairs_processed: d.u64()?,
-        pairs_accepted: d.u64()?,
-        merges: d.u64()?,
-        pairs_skipped: d.u64()?,
-        pairs_prefiltered: d.u64()?,
-        pairs_unconsumed: d.u64()?,
-        messages: d.u64()?,
-        master_busy_frac: d.f64()?,
-        faults: FaultStats {
-            retries: d.u64()?,
-            duplicate_reports: d.u64()?,
-            dead_slaves: d.u64()?,
-            reassigned_pairs: d.u64()?,
-            abandoned_pairs: d.u64()?,
-            lost_pairs: d.u64()?,
-        },
-        timers: PhaseTimers {
-            partitioning: d.f64()?,
-            gst_construction: d.f64()?,
-            node_sorting: d.f64()?,
-            alignment: d.f64()?,
-            total: d.f64()?,
-        },
-    };
-    d.finish()?;
-    Ok(stats)
+    section(bytes, "cluster stats", ClusterStats::decode)
 }
 
-// ---------------------------------------------------------------------
-// MergeTrace
-// ---------------------------------------------------------------------
-
-/// Encode the merge audit log.
+/// Encode the merge audit log: the `Vec<MergeRecord>` layout a shard
+/// master's report carries on the socket.
 pub fn encode_merge_trace(trace: &MergeTrace) -> Vec<u8> {
-    let mut out = Vec::with_capacity(trace.len() * 28 + 8);
-    put_u64(&mut out, trace.len() as u64);
-    for r in trace.records() {
-        put_u64(&mut out, r.est_a as u64);
-        put_u64(&mut out, r.est_b as u64);
-        put_u32(&mut out, r.mcs_len);
-        put_f64(&mut out, r.score_ratio);
-    }
+    let mut out = Vec::with_capacity(4 + trace.len() * MergeRecord::MIN_BYTES);
+    MergeRecord::encode_slice(trace.records(), &mut out);
     out
 }
 
 /// Decode the merge audit log.
 pub fn decode_merge_trace(bytes: &[u8]) -> Result<MergeTrace, SnapshotError> {
-    let mut d = Dec::new(bytes, "merge trace");
-    let n = d.count(28)?;
-    let mut records = Vec::with_capacity(n);
-    for _ in 0..n {
-        records.push(MergeRecord {
-            est_a: d.u64()? as usize,
-            est_b: d.u64()? as usize,
-            mcs_len: d.u32()?,
-            score_ratio: d.f64()?,
-        });
-    }
-    d.finish()?;
-    Ok(MergeTrace::from_records(records))
+    section(bytes, "merge trace", Vec::decode).map(MergeTrace::from_records)
 }
 
 #[cfg(test)]
@@ -529,9 +239,8 @@ mod tests {
 
     #[test]
     fn string_list_rejects_bad_utf8() {
-        let mut bytes = Vec::new();
-        put_u64(&mut bytes, 1);
-        put_bytes(&mut bytes, &[0xff, 0xfe]);
+        let mut bytes = 1u32.to_bytes();
+        vec![0xffu8, 0xfe].encode(&mut bytes);
         assert!(matches!(
             decode_string_list(&bytes).unwrap_err(),
             SnapshotError::Corrupt(_)
@@ -546,16 +255,13 @@ mod tests {
     }
 
     #[test]
-    fn short_buffers_are_truncated_errors() {
+    fn short_buffers_are_corrupt_errors() {
         let store = SequenceStore::from_ests(&[b"ACGGT".as_slice()]).unwrap();
         let bytes = encode_sequence_store(&store);
         for cut in 0..bytes.len() {
             let err = decode_sequence_store(&bytes[..cut]).unwrap_err();
             assert!(
-                matches!(
-                    err,
-                    SnapshotError::Truncated { .. } | SnapshotError::Corrupt(_)
-                ),
+                matches!(err, SnapshotError::Corrupt(_)),
                 "cut at {cut}: {err:?}"
             );
         }
@@ -574,10 +280,9 @@ mod tests {
 
     #[test]
     fn huge_declared_count_is_rejected_without_allocation() {
-        // A corrupt length prefix claiming 2^60 elements must error out
-        // instead of attempting the reservation.
-        let mut bytes = Vec::new();
-        put_u64(&mut bytes, 1 << 60);
+        // A corrupt length prefix claiming 2^32 - 1 elements must error
+        // out instead of attempting the reservation.
+        let bytes = u32::MAX.to_bytes();
         assert!(decode_sequence_store(&bytes).is_err());
         assert!(decode_merge_trace(&bytes).is_err());
         assert!(decode_subtrees(&bytes).is_err());

@@ -14,9 +14,9 @@ pub enum SnapshotError {
     Io(String),
     /// The file does not start with the snapshot magic.
     BadMagic,
-    /// The file's schema version is newer than this build understands.
+    /// The file's schema version is not the one this build reads.
     UnsupportedVersion(u32),
-    /// The file ended before the declared layout was complete.
+    /// The file ended before its section table was complete.
     Truncated {
         /// What the reader was in the middle of when bytes ran out.
         context: &'static str,
@@ -28,8 +28,9 @@ pub enum SnapshotError {
     },
     /// A required section is absent from the snapshot.
     MissingSection(String),
-    /// A section decoded structurally but its content is inconsistent
-    /// (bad offsets, length mismatches, out-of-range ids …).
+    /// A section payload is malformed (short, overlong, bad length
+    /// prefix) or decodes to inconsistent content (bad offsets, length
+    /// mismatches, out-of-range ids …).
     Corrupt(String),
 }
 
@@ -60,5 +61,11 @@ impl std::error::Error for SnapshotError {}
 impl From<std::io::Error> for SnapshotError {
     fn from(e: std::io::Error) -> Self {
         SnapshotError::Io(e.to_string())
+    }
+}
+
+impl From<pace_wire::WireError> for SnapshotError {
+    fn from(e: pace_wire::WireError) -> Self {
+        SnapshotError::Corrupt(e.0)
     }
 }

@@ -8,9 +8,12 @@
 //!   schema version + named sections + per-section CRC-32) with
 //!   streaming writer and verifying reader, published atomically via
 //!   write-to-temp + fsync + rename. [`codec`] provides the typed
-//!   encodings of every pipeline structure (sequence store, packed
-//!   text, bucket partition, subtrees, union–find, merge trace, run
-//!   stats) on top of it.
+//!   encodings of every pipeline structure (sequence store, string
+//!   list, bucket partition, subtrees, union–find, merge trace, run
+//!   stats) on top of it. Both are written with `pace-wire`, the codec
+//!   the socket protocols use: a section payload lays out lengths,
+//!   floats and byte runs exactly as a socket message does, and the
+//!   CRC-32 is the frames' one.
 //! * [`spill`] — memory-budgeted batch planning over the bucket
 //!   partition's suffix counts, plus the [`spill::SpillManager`] that
 //!   writes completed subtree batches to a spill directory and streams
@@ -28,13 +31,11 @@
 //! [`SnapshotError`], never a panic.
 
 pub mod codec;
-pub mod crc;
 pub mod error;
 pub mod manifest;
 pub mod snapshot;
 pub mod spill;
 
-pub use crc::{crc32, Crc32};
 pub use error::SnapshotError;
 pub use manifest::{fingerprint, Manifest, Phase, MANIFEST_VERSION};
 pub use snapshot::{atomic_write, Snapshot, SnapshotWriter, MAGIC, SCHEMA_VERSION};

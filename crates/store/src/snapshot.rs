@@ -10,9 +10,11 @@
 //!   name_len       u16 LE
 //!   name           UTF-8 bytes
 //!   payload_len    u64 LE
-//!   payload        bytes
+//!   payload        bytes    (a `pace-wire` encoding, see `codec`)
 //!   crc32          u32 LE   (IEEE, over the payload only)
 //! ```
+//!
+//! The table is written and read with `pace-wire`, like the payloads.
 //!
 //! Integrity is per-section: a flipped byte anywhere in a payload is a
 //! [`SnapshotError::ChecksumMismatch`] naming the section, and any file
@@ -24,13 +26,13 @@
 //! mid-write can never leave a half-written file under the final name.
 //!
 //! Schema evolution rules are documented in DESIGN.md: the version is
-//! bumped on any layout change, readers reject newer versions
-//! ([`SnapshotError::UnsupportedVersion`]), and new *optional* state
-//! must be added as new sections (readers ignore unknown sections) so
-//! old files stay readable within a version.
+//! bumped on any layout change, a reader refuses every version but the
+//! one it was built for ([`SnapshotError::UnsupportedVersion`]), and
+//! new *optional* state must be added as new sections (readers ignore
+//! unknown sections) so files stay readable within a version.
 
-use crate::crc::{crc32, Crc32};
 use crate::error::SnapshotError;
+use pace_wire::{crc32, Crc32, Wire, WireError, WireReader};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::ops::Range;
@@ -39,8 +41,10 @@ use std::path::{Path, PathBuf};
 /// File magic.
 pub const MAGIC: &[u8; 8] = b"PACESNAP";
 
-/// Current snapshot schema version.
-pub const SCHEMA_VERSION: u32 = 1;
+/// Current snapshot schema version. Version 1 wrote `u64` length
+/// prefixes inside payloads; version 2 payloads are `pace-wire`
+/// encodings (`u32` prefixes).
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Suffix of the temporary file the writer streams to before the
 /// atomic rename (matched by the `*.tmp` gitignore rule).
@@ -100,9 +104,10 @@ impl SnapshotWriter {
             .create(true)
             .truncate(true)
             .open(&tmp)?;
-        file.write_all(MAGIC)?;
-        file.write_all(&SCHEMA_VERSION.to_le_bytes())?;
-        file.write_all(&0u32.to_le_bytes())?; // section count, patched later
+        let mut header = MAGIC.to_vec();
+        SCHEMA_VERSION.encode(&mut header);
+        0u32.encode(&mut header); // section count, patched later
+        file.write_all(&header)?;
         Ok(SnapshotWriter {
             file,
             final_path,
@@ -116,7 +121,7 @@ impl SnapshotWriter {
     pub fn add_section(&mut self, name: &str, payload: &[u8]) -> Result<(), SnapshotError> {
         self.begin_section(name, payload.len() as u64)?;
         self.file.write_all(payload)?;
-        self.file.write_all(&crc32(payload).to_le_bytes())?;
+        self.file.write_all(&crc32(payload).to_bytes())?;
         self.bytes_written += payload.len() as u64 + 4;
         Ok(())
     }
@@ -147,23 +152,19 @@ impl SnapshotWriter {
                 "section {name:?}: declared {len} bytes, streamed {written}"
             )));
         }
-        self.file.write_all(&crc.finish().to_le_bytes())?;
+        self.file.write_all(&crc.finish().to_bytes())?;
         self.bytes_written += len + 4;
         Ok(())
     }
 
     fn begin_section(&mut self, name: &str, len: u64) -> Result<(), SnapshotError> {
-        let name_bytes = name.as_bytes();
-        assert!(
-            name_bytes.len() <= u16::MAX as usize,
-            "section name too long"
-        );
-        self.file
-            .write_all(&(name_bytes.len() as u16).to_le_bytes())?;
-        self.file.write_all(name_bytes)?;
-        self.file.write_all(&len.to_le_bytes())?;
+        let name_len = u16::try_from(name.len()).expect("section name too long");
+        let mut head = name_len.to_bytes();
+        head.extend_from_slice(name.as_bytes());
+        len.encode(&mut head);
+        self.file.write_all(&head)?;
         self.sections += 1;
-        self.bytes_written += 2 + name_bytes.len() as u64 + 8;
+        self.bytes_written += head.len() as u64;
         Ok(())
     }
 
@@ -176,7 +177,7 @@ impl SnapshotWriter {
     /// Returns the final on-disk size in bytes.
     pub fn finish(mut self) -> Result<u64, SnapshotError> {
         self.file.seek(SeekFrom::Start(12))?;
-        self.file.write_all(&self.sections.to_le_bytes())?;
+        self.file.write_all(&self.sections.to_bytes())?;
         self.file.sync_all()?;
         std::fs::rename(&self.tmp, &self.final_path)?;
         fsync_parent(&self.final_path)?;
@@ -203,43 +204,37 @@ impl Snapshot {
 
     /// Parse an in-memory snapshot image (tests and corruption drills).
     pub fn parse(data: Vec<u8>) -> Result<Self, SnapshotError> {
-        let header = data
-            .get(..16)
-            .ok_or(SnapshotError::Truncated { context: "header" })?;
-        if &header[..8] != MAGIC {
+        fn truncated(context: &'static str) -> impl Fn(WireError) -> SnapshotError {
+            move |_| SnapshotError::Truncated { context }
+        }
+        let mut r = WireReader::new(&data);
+        if r.bytes(MAGIC.len()).map_err(truncated("header"))? != MAGIC {
             return Err(SnapshotError::BadMagic);
         }
-        let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
-        if version > SCHEMA_VERSION {
+        let version = r.u32().map_err(truncated("header"))?;
+        if version != SCHEMA_VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
-        let count = u32::from_le_bytes(header[12..16].try_into().unwrap());
-        let mut sections = Vec::with_capacity(count as usize);
-        let mut pos = 16usize;
+        // Every section takes at least its name length, payload length
+        // and checksum, which bounds the table's allocation.
+        let count = r
+            .len_prefix(2 + 8 + 4)
+            .map_err(truncated("section table"))?;
+        let mut sections = Vec::with_capacity(count);
         for _ in 0..count {
-            let name_len = u16::from_le_bytes(
-                read_exact(&data, &mut pos, 2, "section name length")?
-                    .try_into()
-                    .unwrap(),
-            ) as usize;
-            let name_bytes = read_exact(&data, &mut pos, name_len, "section name")?;
-            let name = std::str::from_utf8(name_bytes)
+            let name_len = r.u16().map_err(truncated("section name length"))?;
+            let name = r
+                .bytes(name_len.into())
+                .map_err(truncated("section name"))?;
+            let name = std::str::from_utf8(name)
                 .map_err(|_| SnapshotError::Corrupt("section name is not UTF-8".into()))?
                 .to_string();
-            let payload_len = u64::from_le_bytes(
-                read_exact(&data, &mut pos, 8, "section length")?
-                    .try_into()
-                    .unwrap(),
-            );
+            let payload_len = r.u64().map_err(truncated("section length"))?;
             let payload_len = usize::try_from(payload_len)
                 .map_err(|_| SnapshotError::Corrupt(format!("section {name:?} length overflow")))?;
-            let start = pos;
-            let payload = read_exact(&data, &mut pos, payload_len, "section payload")?;
-            let stored = u32::from_le_bytes(
-                read_exact(&data, &mut pos, 4, "section checksum")?
-                    .try_into()
-                    .unwrap(),
-            );
+            let start = data.len() - r.remaining();
+            let payload = r.bytes(payload_len).map_err(truncated("section payload"))?;
+            let stored = r.u32().map_err(truncated("section checksum"))?;
             if crc32(payload) != stored {
                 return Err(SnapshotError::ChecksumMismatch { section: name });
             }
@@ -256,21 +251,6 @@ impl Snapshot {
             .map(|(_, r)| &self.data[r.clone()])
             .ok_or_else(|| SnapshotError::MissingSection(name.to_string()))
     }
-}
-
-fn read_exact<'d>(
-    data: &'d [u8],
-    pos: &mut usize,
-    len: usize,
-    context: &'static str,
-) -> Result<&'d [u8], SnapshotError> {
-    let end = pos
-        .checked_add(len)
-        .filter(|&e| e <= data.len())
-        .ok_or(SnapshotError::Truncated { context })?;
-    let out = &data[*pos..end];
-    *pos = end;
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -358,13 +338,30 @@ mod tests {
             Snapshot::parse(b"NOTASNAP\0\0\0\0\0\0\0\0".to_vec()).unwrap_err(),
             SnapshotError::BadMagic
         );
-        let mut img = Vec::new();
-        img.extend_from_slice(MAGIC);
-        img.extend_from_slice(&99u32.to_le_bytes());
-        img.extend_from_slice(&0u32.to_le_bytes());
+        let mut img = MAGIC.to_vec();
+        (99u32, 0u32).encode(&mut img);
         assert_eq!(
             Snapshot::parse(img).unwrap_err(),
             SnapshotError::UnsupportedVersion(99)
+        );
+    }
+
+    #[test]
+    fn version_one_image_is_refused() {
+        // Version 1 payloads carried `u64` length prefixes; handed to
+        // the version 2 decoders they would misread, so the reader
+        // refuses older versions as it refuses newer ones.
+        let path = roundtrip_dir().join("v1.snap");
+        let mut w = SnapshotWriter::create(&path).unwrap();
+        w.add_section("alpha", b"payload").unwrap();
+        w.finish().unwrap();
+        let mut img = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert!(Snapshot::parse(img.clone()).is_ok());
+        img[8..12].copy_from_slice(&1u32.to_bytes());
+        assert_eq!(
+            Snapshot::parse(img).unwrap_err(),
+            SnapshotError::UnsupportedVersion(1)
         );
     }
 

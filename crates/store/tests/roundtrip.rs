@@ -17,12 +17,12 @@ use pace_cluster::stats::{ClusterStats, FaultStats, PhaseTimers};
 use pace_cluster::trace::{MergeRecord, MergeTrace};
 use pace_dsu::DisjointSets;
 use pace_gst::{assign_buckets, build_sequential, count_buckets};
-use pace_seq::{PackedText, SequenceStore};
+use pace_seq::SequenceStore;
 use pace_store::codec::{
     decode_bucket_partition, decode_cluster_stats, decode_dsu, decode_merge_trace,
-    decode_packed_text, decode_sequence_store, decode_string_list, decode_subtrees,
-    encode_bucket_partition, encode_cluster_stats, encode_dsu, encode_merge_trace,
-    encode_packed_text, encode_sequence_store, encode_string_list, encode_subtrees,
+    decode_sequence_store, decode_string_list, decode_subtrees, encode_bucket_partition,
+    encode_cluster_stats, encode_dsu, encode_merge_trace, encode_sequence_store,
+    encode_string_list, encode_subtrees,
 };
 use pace_store::{Snapshot, SnapshotError, SnapshotWriter};
 use proptest::prelude::*;
@@ -143,15 +143,6 @@ proptest! {
         prop_assert_eq!(
             decode_sequence_store(&encode_sequence_store(&store)).unwrap(),
             store
-        );
-    }
-
-    #[test]
-    fn packed_text_roundtrips(ests in ests()) {
-        let packed = PackedText::from_store(&store_of(&ests));
-        prop_assert_eq!(
-            decode_packed_text(&encode_packed_text(&packed)).unwrap(),
-            packed
         );
     }
 
@@ -298,14 +289,13 @@ proptest! {
     }
 
     /// Raw garbage straight into every codec: any outcome but a panic.
-    /// (The `count()` guard also means no pathological allocations from
-    /// corrupt length prefixes.)
+    /// (Every length prefix is checked against the bytes left, so no
+    /// pathological allocations either.)
     #[test]
     fn decoders_never_panic_on_arbitrary_bytes(
         bytes in proptest::collection::vec(any::<u32>().prop_map(|v| (v & 0xff) as u8), 0..256),
     ) {
         let _ = decode_sequence_store(&bytes);
-        let _ = decode_packed_text(&bytes);
         let _ = decode_string_list(&bytes);
         let _ = decode_bucket_partition(&bytes);
         let _ = decode_subtrees(&bytes);

@@ -1,15 +1,21 @@
-//! Hand-rolled wire codec shared by every socket protocol in the repo.
+//! The one byte codec of the repo: every socket message and every
+//! snapshot section payload is encoded here.
 //!
-//! The repo's convention is std-only serialization (no serde); this
-//! crate provides the pieces any framed byte protocol needs — it began
-//! life inside `pace-mpisim`'s Unix-socket transport and was extracted
-//! so the serving daemon (`pace-serve`) reuses it instead of
-//! duplicating it:
+//! The repo's convention is std-only serialization (no serde). The
+//! Unix-socket transport (`pace-mpisim`), the serving daemon
+//! (`pace-serve`) and the snapshot container (`pace-store`) all encode
+//! through this crate, so one module decides how a length, a float or
+//! a byte run looks on a socket and on disk:
 //!
-//! - [`Wire`]: encode/decode for a message type, little-endian, length
-//!   prefixes on variable-size fields;
+//! - [`Wire`]: encode/decode for a type, little-endian, `u32` length
+//!   prefixes on variable-size fields. Byte runs (`Vec<u8>`, `String`)
+//!   are copied in bulk, never byte by byte;
 //! - [`WireReader`]: a bounds-checked cursor that decoding reads from —
-//!   truncated or trailing bytes are errors, never panics;
+//!   truncated or trailing bytes are errors, never panics, and a length
+//!   prefix is checked against the bytes left *before* anything is
+//!   allocated (see [`Wire::MIN_BYTES`]);
+//! - [`Crc32`]/[`crc32`]: the one CRC-32 of the repo (frames, snapshot
+//!   sections, checkpoint fingerprints);
 //! - framing: every socket payload travels as
 //!   `[len: u32 LE][crc32: u32 LE][payload bytes]`, where the checksum
 //!   covers the payload. A frame that fails its length sanity bound or
@@ -93,6 +99,10 @@ impl<'a> WireReader<'a> {
         self.take(n)
     }
 
+    pub fn u16(&mut self) -> Result<u16, WireError> {
+        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+    }
+
     pub fn u32(&mut self) -> Result<u32, WireError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
@@ -114,6 +124,27 @@ impl<'a> WireReader<'a> {
         Ok(n)
     }
 
+    /// A `u32`-prefixed byte run, borrowed from the payload.
+    pub fn byte_run(&mut self) -> Result<&'a [u8], WireError> {
+        let n = self.len_prefix(1)?;
+        self.take(n)
+    }
+
+    /// A `u32`-prefixed run of items, each read by `item` and encoded in
+    /// at least `min_bytes` bytes; the layout [`encode_seq`] writes.
+    pub fn seq<T>(
+        &mut self,
+        min_bytes: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let n = self.len_prefix(min_bytes)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Ok(out)
+    }
+
     /// Decoding must end exactly at the payload boundary; trailing bytes
     /// mean sender and receiver disagree about the message layout.
     pub fn finish(self) -> Result<(), WireError> {
@@ -127,11 +158,44 @@ impl<'a> WireReader<'a> {
     }
 }
 
-/// A type that can cross the socket. Encodings are little-endian and
-/// self-delimiting (variable-size fields carry `u32` length prefixes).
+fn encode_len(n: usize, out: &mut Vec<u8>) {
+    u32::try_from(n)
+        .expect("run too long for the wire format")
+        .encode(out);
+}
+
+/// Encode `items` as a `u32` count followed by each item written by
+/// `item`: the layout of `Vec<T>`, for element types that cannot
+/// implement [`Wire`] where they are encoded.
+pub fn encode_seq<T>(items: &[T], out: &mut Vec<u8>, mut item: impl FnMut(&T, &mut Vec<u8>)) {
+    encode_len(items.len(), out);
+    for x in items {
+        item(x, out);
+    }
+}
+
+/// A type that can cross a socket or sit in a snapshot. Encodings are
+/// little-endian and self-delimiting (variable-size fields carry `u32`
+/// length prefixes).
 pub trait Wire: Sized {
+    /// The fewest bytes any value's encoding takes. A decoder checks a
+    /// `Vec<Self>` count against it, so a hostile prefix cannot reserve
+    /// more elements than the payload could hold.
+    const MIN_BYTES: usize = 1;
+
     fn encode(&self, out: &mut Vec<u8>);
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError>;
+
+    /// Encode `items` with the layout of `Vec<Self>`. `u8` overrides
+    /// this with one bulk copy.
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+        encode_seq(items, out, Self::encode);
+    }
+
+    /// Decode what [`encode_slice`](Self::encode_slice) wrote.
+    fn decode_vec(r: &mut WireReader<'_>) -> Result<Vec<Self>, WireError> {
+        r.seq(Self::MIN_BYTES, Self::decode)
+    }
 
     /// Encode into a fresh buffer.
     fn to_bytes(&self) -> Vec<u8> {
@@ -149,6 +213,7 @@ pub trait Wire: Sized {
     }
 }
 
+/// Bytes are the one bulk path: a byte run is copied whole, both ways.
 impl Wire for u8 {
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(*self);
@@ -156,9 +221,27 @@ impl Wire for u8 {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         r.u8()
     }
+    fn encode_slice(items: &[u8], out: &mut Vec<u8>) {
+        encode_len(items.len(), out);
+        out.extend_from_slice(items);
+    }
+    fn decode_vec(r: &mut WireReader<'_>) -> Result<Vec<u8>, WireError> {
+        Ok(r.byte_run()?.to_vec())
+    }
+}
+
+impl Wire for u16 {
+    const MIN_BYTES: usize = 2;
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        r.u16()
+    }
 }
 
 impl Wire for u32 {
+    const MIN_BYTES: usize = 4;
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_le_bytes());
     }
@@ -168,6 +251,7 @@ impl Wire for u32 {
 }
 
 impl Wire for u64 {
+    const MIN_BYTES: usize = 8;
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_le_bytes());
     }
@@ -177,6 +261,7 @@ impl Wire for u64 {
 }
 
 impl Wire for usize {
+    const MIN_BYTES: usize = 8;
     fn encode(&self, out: &mut Vec<u8>) {
         (*self as u64).encode(out);
     }
@@ -201,6 +286,7 @@ impl Wire for bool {
 /// Floats travel as their IEEE-754 bit pattern, so a value round-trips
 /// bit-exactly (including NaN payloads and signed zeros).
 impl Wire for f64 {
+    const MIN_BYTES: usize = 8;
     fn encode(&self, out: &mut Vec<u8>) {
         self.to_bits().encode(out);
     }
@@ -209,39 +295,77 @@ impl Wire for f64 {
     }
 }
 
-/// Strings travel as a length-prefixed UTF-8 byte run; decoding rejects
-/// invalid UTF-8 rather than lossily replacing it.
+/// Strings travel as a byte run (the layout of `Vec<u8>`); decoding
+/// rejects invalid UTF-8 rather than lossily replacing it.
 impl Wire for String {
+    const MIN_BYTES: usize = 4;
     fn encode(&self, out: &mut Vec<u8>) {
-        let n = u32::try_from(self.len()).expect("string too long for wire format");
-        n.encode(out);
-        out.extend_from_slice(self.as_bytes());
+        u8::encode_slice(self.as_bytes(), out);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let n = r.len_prefix(1)?;
-        let bytes = r.bytes(n)?.to_vec();
-        String::from_utf8(bytes).map_err(|_| WireError("invalid UTF-8 in wire string".into()))
+        std::str::from_utf8(r.byte_run()?)
+            .map(str::to_owned)
+            .map_err(|_| WireError("invalid UTF-8 in wire string".into()))
     }
 }
 
 impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 4;
     fn encode(&self, out: &mut Vec<u8>) {
-        let n = u32::try_from(self.len()).expect("vector too long for wire format");
-        n.encode(out);
-        for item in self {
-            item.encode(out);
-        }
+        T::encode_slice(self, out);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        // Elements are at least one byte each, which bounds allocation.
-        let n = r.len_prefix(1)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(T::decode(r)?);
-        }
-        Ok(out)
+        T::decode_vec(r)
     }
 }
+
+/// Implement [`Wire`] for a struct as its fields back to back, in the
+/// order listed: the list is the layout, written once for both
+/// directions. `MIN_BYTES` is the sum of the listed field types'.
+///
+/// ```
+/// struct Hit { est: u32, score: f64 }
+/// pace_wire::wire_struct!(Hit { est: u32, score: f64 });
+/// # use pace_wire::Wire;
+/// assert_eq!(Hit::MIN_BYTES, 12);
+/// ```
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ident { $($field:ident: $fty:ty),+ $(,)? }) => {
+        impl $crate::Wire for $ty {
+            const MIN_BYTES: usize = 0 $(+ <$fty as $crate::Wire>::MIN_BYTES)+;
+            fn encode(&self, out: &mut Vec<u8>) {
+                $($crate::Wire::encode(&self.$field, out);)+
+            }
+            fn decode(r: &mut $crate::WireReader<'_>) -> Result<Self, $crate::WireError> {
+                Ok($ty {
+                    $($field: <$fty as $crate::Wire>::decode(r)?,)+
+                })
+            }
+        }
+    };
+}
+
+/// Tuples are their fields back to back, with no framing of their own.
+macro_rules! wire_tuple {
+    ($($t:ident),+) => {
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            const MIN_BYTES: usize = 0 $(+ $t::MIN_BYTES)+;
+            #[allow(non_snake_case)]
+            fn encode(&self, out: &mut Vec<u8>) {
+                let ($($t,)+) = self;
+                $($t.encode(out);)+
+            }
+            fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+                Ok(($($t::decode(r)?,)+))
+            }
+        }
+    };
+}
+
+wire_tuple!(A, B);
+wire_tuple!(A, B, C);
+wire_tuple!(A, B, C, D);
 
 // ---------------------------------------------------------------------
 // CRC-32 (IEEE 802.3, reflected) — inlined so framing needs no deps.
@@ -269,14 +393,39 @@ const fn crc32_table() -> [u32; 256] {
 
 static CRC32_TABLE: [u32; 256] = crc32_table();
 
-/// CRC-32 checksum of `data` (the classic IEEE polynomial, as used by
-/// gzip/PNG).
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+/// Streaming CRC-32 (the classic IEEE polynomial, as used by
+/// gzip/PNG): feed bytes in any chunking, [`finish`](Self::finish)
+/// gives the checksum of their concatenation.
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32(u32);
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Self::new()
     }
-    c ^ 0xFFFF_FFFF
+}
+
+impl Crc32 {
+    pub fn new() -> Self {
+        Crc32(0xFFFF_FFFF)
+    }
+
+    pub fn update(&mut self, data: &[u8]) {
+        for &b in data {
+            self.0 = CRC32_TABLE[((self.0 ^ u32::from(b)) & 0xFF) as usize] ^ (self.0 >> 8);
+        }
+    }
+
+    pub fn finish(&self) -> u32 {
+        self.0 ^ 0xFFFF_FFFF
+    }
+}
+
+/// One-shot CRC-32 of `data`.
+pub fn crc32(data: &[u8]) -> u32 {
+    let mut c = Crc32::new();
+    c.update(data);
+    c.finish()
 }
 
 // ---------------------------------------------------------------------
@@ -415,10 +564,46 @@ mod tests {
     }
 
     #[test]
+    fn count_beyond_what_the_bytes_can_encode_is_rejected() {
+        // Refused at the prefix, before any element is reserved: five
+        // strings need at least 5 × 4 bytes and two u64s sixteen, but
+        // a one-byte bound would let both through to decode elements.
+        let refused_at_prefix = |e: WireError| e.0.starts_with("length prefix");
+        let mut bytes = 5u32.to_bytes();
+        bytes.extend_from_slice(&[0; 8]);
+        assert!(Vec::<String>::from_bytes(&bytes).is_err_and(refused_at_prefix));
+        let mut bytes = 2u32.to_bytes();
+        bytes.extend_from_slice(&[0; 12]);
+        assert!(Vec::<u64>::from_bytes(&bytes).is_err_and(refused_at_prefix));
+        assert_eq!(<(u32, u64, bool)>::MIN_BYTES, 13);
+    }
+
+    #[test]
+    fn byte_runs_and_strings_share_one_layout() {
+        let run = b"ACGT\xff".to_vec();
+        assert_eq!(run.to_bytes(), [&5u32.to_bytes()[..], &run].concat());
+        assert_eq!("ACGT".to_string().to_bytes(), b"ACGT".to_vec().to_bytes());
+        roundtrip(&vec![run, Vec::new()]);
+        roundtrip(&(7u16, "x".to_string(), vec![(1u32, 2u32)]));
+        assert!(String::from_bytes(&[1, 0, 0, 0, 0xFF]).is_err());
+    }
+
+    #[test]
     fn crc32_matches_known_vectors() {
         // Standard test vector for the IEEE polynomial.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+    }
+
+    #[test]
+    fn streaming_crc_equals_one_shot() {
+        let data = b"the quick brown fox jumps over the lazy dog";
+        let mut c = Crc32::new();
+        for chunk in data.chunks(7) {
+            c.update(chunk);
+        }
+        assert_eq!(c.finish(), crc32(data));
     }
 
     #[test]
